@@ -303,6 +303,13 @@ int run_sweep(const char* path) {
         return 1;
     }
     std::fprintf(f, "{\n  \"benchmark\": \"self_aware_search_decision\",\n");
+    // How to reproduce the file: a Release build, run from the repository
+    // root. Wall times only compare between runs on the same host.
+    std::fprintf(f,
+                 "  \"command\": \"cmake -B build -DCMAKE_BUILD_TYPE=Release && "
+                 "cmake --build build --target micro_search && "
+                 "./build/bench/micro_search %s\",\n",
+                 path);
     std::fprintf(f, "  \"host_cpus\": %u,\n",
                  std::thread::hardware_concurrency());
     std::fprintf(f, "  \"reps\": %d,\n  \"cells\": [\n", kReps);

@@ -63,10 +63,7 @@ std::uint64_t base_hash(std::size_t vm_count, std::size_t host_count) {
 
 configuration::configuration(std::size_t vm_count, std::size_t host_count)
     : vms_(vm_count),
-      hosts_on_(host_count, false),
-      hosts_failed_(host_count, false),
-      host_cap_milli_(host_count, 0),
-      host_vm_count_(host_count, 0),
+      hosts_(host_count),
       zobrist_(base_hash(vm_count, host_count)) {
     MISTRAL_CHECK(vm_count > 0);
     MISTRAL_CHECK(host_count > 0);
@@ -79,25 +76,24 @@ const std::optional<vm_placement>& configuration::placement(vm_id vm) const {
     return vms_[vm.index()];
 }
 
-bool configuration::host_on(host_id host) const {
-    MISTRAL_CHECK(host.valid() && host.index() < hosts_on_.size());
-    return hosts_on_[host.index()];
+const configuration::host_state& configuration::host_at(host_id host) const {
+    MISTRAL_CHECK(host.valid() && host.index() < hosts_.size());
+    return hosts_[host.index()];
 }
 
-bool configuration::host_failed(host_id host) const {
-    MISTRAL_CHECK(host.valid() && host.index() < hosts_failed_.size());
-    return hosts_failed_[host.index()];
-}
+bool configuration::host_on(host_id host) const { return host_at(host).on; }
+
+bool configuration::host_failed(host_id host) const { return host_at(host).failed; }
 
 bool configuration::any_host_failed() const {
-    for (bool failed : hosts_failed_) {
-        if (failed) return true;
+    for (const auto& h : hosts_) {
+        if (h.failed) return true;
     }
     return false;
 }
 
 std::vector<vm_id> configuration::vms_on(host_id host) const {
-    MISTRAL_CHECK(host.valid() && host.index() < hosts_on_.size());
+    MISTRAL_CHECK(host.valid() && host.index() < hosts_.size());
     std::vector<vm_id> out;
     for (std::size_t i = 0; i < vms_.size(); ++i) {
         if (vms_[i] && vms_[i]->host == host) {
@@ -109,7 +105,7 @@ std::vector<vm_id> configuration::vms_on(host_id host) const {
 
 std::size_t configuration::active_host_count() const {
     std::size_t n = 0;
-    for (bool on : hosts_on_) n += on ? 1 : 0;
+    for (const auto& h : hosts_) n += h.on ? 1 : 0;
     return n;
 }
 
@@ -120,13 +116,11 @@ std::size_t configuration::deployed_vm_count() const {
 }
 
 std::size_t configuration::vm_count_on(host_id host) const {
-    MISTRAL_CHECK(host.valid() && host.index() < hosts_on_.size());
-    return static_cast<std::size_t>(host_vm_count_[host.index()]);
+    return static_cast<std::size_t>(host_at(host).vm_count);
 }
 
 fraction configuration::cap_sum(host_id host) const {
-    MISTRAL_CHECK(host.valid() && host.index() < hosts_on_.size());
-    return static_cast<fraction>(host_cap_milli_[host.index()]) / 1000.0;
+    return static_cast<fraction>(host_at(host).cap_milli) / 1000.0;
 }
 
 double configuration::memory_sum(const cluster_model& model, host_id host) const {
@@ -141,25 +135,28 @@ double configuration::memory_sum(const cluster_model& model, host_id host) const
 
 void configuration::deploy(vm_id vm, host_id host, fraction cpu_cap) {
     MISTRAL_CHECK(vm.valid() && vm.index() < vms_.size());
-    MISTRAL_CHECK(host.valid() && host.index() < hosts_on_.size());
+    MISTRAL_CHECK(host.valid() && host.index() < hosts_.size());
     MISTRAL_CHECK(cpu_cap > 0.0 && cpu_cap <= 1.0);
     if (const auto& old = vms_[vm.index()]) {  // re-deploy moves the VM
-        host_cap_milli_[old->host.index()] -= milli(old->cpu_cap);
-        host_vm_count_[old->host.index()] -= 1;
+        auto& from = hosts_[old->host.index()];
+        from.cap_milli -= milli(old->cpu_cap);
+        from.vm_count -= 1;
         zobrist_ ^= placement_key(vm.index(), old->host.index(), milli(old->cpu_cap));
     }
     const fraction cap = round_cap(cpu_cap);
     vms_[vm.index()] = vm_placement{host, cap};
-    host_cap_milli_[host.index()] += milli(cap);
-    host_vm_count_[host.index()] += 1;
+    auto& to = hosts_[host.index()];
+    to.cap_milli += milli(cap);
+    to.vm_count += 1;
     zobrist_ ^= placement_key(vm.index(), host.index(), milli(cap));
 }
 
 void configuration::undeploy(vm_id vm) {
     MISTRAL_CHECK(vm.valid() && vm.index() < vms_.size());
     if (const auto& old = vms_[vm.index()]) {
-        host_cap_milli_[old->host.index()] -= milli(old->cpu_cap);
-        host_vm_count_[old->host.index()] -= 1;
+        auto& from = hosts_[old->host.index()];
+        from.cap_milli -= milli(old->cpu_cap);
+        from.vm_count -= 1;
         zobrist_ ^= placement_key(vm.index(), old->host.index(), milli(old->cpu_cap));
     }
     vms_[vm.index()].reset();
@@ -171,57 +168,57 @@ void configuration::set_cap(vm_id vm, fraction cpu_cap) {
     MISTRAL_CHECK(cpu_cap > 0.0 && cpu_cap <= 1.0);
     auto& p = *vms_[vm.index()];
     const fraction cap = round_cap(cpu_cap);
-    host_cap_milli_[p.host.index()] += milli(cap) - milli(p.cpu_cap);
+    hosts_[p.host.index()].cap_milli += milli(cap) - milli(p.cpu_cap);
     zobrist_ ^= placement_key(vm.index(), p.host.index(), milli(p.cpu_cap)) ^
                 placement_key(vm.index(), p.host.index(), milli(cap));
     p.cpu_cap = cap;
 }
 
 void configuration::set_host_power(host_id host, bool on) {
-    MISTRAL_CHECK(host.valid() && host.index() < hosts_on_.size());
+    MISTRAL_CHECK(host.valid() && host.index() < hosts_.size());
+    auto& h = hosts_[host.index()];
     // Toggle the key only on an actual transition: XOR-ing on every call
     // would corrupt the hash under idempotent writes.
-    if (hosts_on_[host.index()] != on) zobrist_ ^= host_on_key(host.index());
-    hosts_on_[host.index()] = on;
+    if (h.on != on) zobrist_ ^= host_on_key(host.index());
+    h.on = on;
 }
 
 void configuration::set_host_failed(host_id host, bool failed) {
-    MISTRAL_CHECK(host.valid() && host.index() < hosts_failed_.size());
-    if (hosts_failed_[host.index()] != failed) {
-        zobrist_ ^= host_failed_key(host.index());
-    }
-    hosts_failed_[host.index()] = failed;
-    if (failed && hosts_on_[host.index()]) {
+    MISTRAL_CHECK(host.valid() && host.index() < hosts_.size());
+    auto& h = hosts_[host.index()];
+    if (h.failed != failed) zobrist_ ^= host_failed_key(host.index());
+    h.failed = failed;
+    if (failed && h.on) {
         zobrist_ ^= host_on_key(host.index());
-        hosts_on_[host.index()] = false;
+        h.on = false;
     }
 }
 
 std::uint64_t configuration::recompute_hash() const {
-    std::uint64_t h = base_hash(vms_.size(), hosts_on_.size());
+    std::uint64_t h = base_hash(vms_.size(), hosts_.size());
     for (std::size_t i = 0; i < vms_.size(); ++i) {
         if (const auto& p = vms_[i]) {
             h ^= placement_key(i, p->host.index(), milli(p->cpu_cap));
         }
     }
-    for (std::size_t i = 0; i < hosts_on_.size(); ++i) {
-        if (hosts_on_[i]) h ^= host_on_key(i);
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
+        if (hosts_[i].on) h ^= host_on_key(i);
     }
     // Failure keys fold in only for failed hosts, so a configuration whose
     // failure marks have all cleared hashes exactly like one that never
     // failed (the search's replay determinism relies on that).
-    for (std::size_t i = 0; i < hosts_failed_.size(); ++i) {
-        if (hosts_failed_[i]) h ^= host_failed_key(i);
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
+        if (hosts_[i].failed) h ^= host_failed_key(i);
     }
     return h;
 }
 
 std::string configuration::describe(const cluster_model& model) const {
     std::ostringstream os;
-    for (std::size_t h = 0; h < hosts_on_.size(); ++h) {
+    for (std::size_t h = 0; h < hosts_.size(); ++h) {
         const host_id host{static_cast<std::int32_t>(h)};
         os << model.hosts()[h].name
-           << (hosts_failed_[h] ? "[failed]" : (hosts_on_[h] ? "[on]" : "[off]"))
+           << (hosts_[h].failed ? "[failed]" : (hosts_[h].on ? "[on]" : "[off]"))
            << ":";
         bool first = true;
         for (std::size_t i = 0; i < vms_.size(); ++i) {
@@ -235,7 +232,7 @@ std::string configuration::describe(const cluster_model& model) const {
             }
         }
         if (first) os << " -";
-        os << (h + 1 < hosts_on_.size() ? "  " : "");
+        os << (h + 1 < hosts_.size() ? "  " : "");
     }
     return os.str();
 }
@@ -322,12 +319,17 @@ bool is_candidate(const cluster_model& model, const configuration& config,
     if (!structurally_valid(model, config, why)) return false;
     for (std::size_t h = 0; h < model.host_count(); ++h) {
         const host_id host{static_cast<std::int32_t>(h)};
-        if (config.cap_sum(host) > model.limits().host_cpu_cap + 1e-9) {
+        if (overbooked(model, config, host)) {
             if (why) *why = "CPU overbooked on " + model.hosts()[h].name;
             return false;
         }
     }
     return true;
+}
+
+bool overbooked(const cluster_model& model, const configuration& config,
+                host_id host) {
+    return config.cap_sum(host) > model.limits().host_cpu_cap + 1e-9;
 }
 
 double cap_distance(const cluster_model& model, const configuration& a,

@@ -41,7 +41,7 @@ public:
     configuration(std::size_t vm_count, std::size_t host_count);
 
     [[nodiscard]] std::size_t vm_count() const { return vms_.size(); }
-    [[nodiscard]] std::size_t host_count() const { return hosts_on_.size(); }
+    [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
 
     [[nodiscard]] bool deployed(vm_id vm) const;
     // Placement of a deployed VM; nullopt for dormant VMs.
@@ -90,25 +90,36 @@ public:
     [[nodiscard]] std::uint64_t recompute_hash() const;
     // True when the incremental hash matches the from-scratch value.
     [[nodiscard]] bool verify_hash() const { return zobrist_ == recompute_hash(); }
-    // Equality is over placements, host power, and failure marks; the
-    // per-host aggregates are derived data.
+    // Equality is over placements, host power, and failure marks. The
+    // per-host aggregates and the hash are pure functions of that state, so
+    // comparing them too changes no answer; the hash goes first because it
+    // settles almost every unequal pair in one compare.
     friend bool operator==(const configuration& a, const configuration& b) {
-        return a.vms_ == b.vms_ && a.hosts_on_ == b.hosts_on_ &&
-               a.hosts_failed_ == b.hosts_failed_;
+        return a.zobrist_ == b.zobrist_ && a.hosts_ == b.hosts_ && a.vms_ == b.vms_;
     }
 
     // Human-readable one-line summary (placements + host states).
     [[nodiscard]] std::string describe(const cluster_model& model) const;
 
 private:
+    // Everything a configuration keeps per host, in one block so a copy
+    // allocates twice (VMs and hosts), not once per field. `cap_milli` and
+    // `vm_count` are derived aggregates maintained by the mutators; milli-caps
+    // are exact integers (caps are rounded to 1e-3), so incremental updates
+    // can never drift from a from-scratch sum.
+    struct host_state {
+        bool on = false;
+        bool failed = false;
+        std::int32_t cap_milli = 0;
+        std::int32_t vm_count = 0;
+
+        friend bool operator==(const host_state&, const host_state&) = default;
+    };
+
+    [[nodiscard]] const host_state& host_at(host_id host) const;
+
     std::vector<std::optional<vm_placement>> vms_;
-    std::vector<bool> hosts_on_;
-    std::vector<bool> hosts_failed_;
-    // Derived per-host aggregates, maintained by the mutators. Milli-caps are
-    // exact integers (caps are rounded to 1e-3), so incremental updates can
-    // never drift from a from-scratch sum.
-    std::vector<std::int32_t> host_cap_milli_;
-    std::vector<std::int32_t> host_vm_count_;
+    std::vector<host_state> hosts_;
     // Incremental Zobrist hash: XOR of one pseudo-random 64-bit key per
     // (vm, host, milli-cap) placement, per powered-on host, and per failure
     // mark, over a size-derived base. XOR updates are self-inverse, so every
@@ -138,6 +149,11 @@ bool structurally_valid_degraded(const cluster_model& model,
 // each host sum to at most limits().host_cpu_cap.
 bool is_candidate(const cluster_model& model, const configuration& config,
                   std::string* why = nullptr);
+
+// The packing test for one host: true when its deployed CPU caps sum past
+// limits().host_cpu_cap. is_candidate applies it to every host.
+bool overbooked(const cluster_model& model, const configuration& config,
+                host_id host);
 
 // Weighted Euclidean distance between the CPU-cap vectors of `a` and `b`,
 // with each VM weighted by its relative cap in `ideal` (Section IV-B's

@@ -10,6 +10,17 @@
 
 namespace mistral::core {
 
+namespace {
+
+std::uint64_t bits_of(double x) {
+    std::uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(double));
+    __builtin_memcpy(&bits, &x, sizeof(bits));
+    return bits;
+}
+
+}  // namespace
+
 // ---- eval_memo -------------------------------------------------------------
 
 eval_memo::eval_memo(std::size_t capacity) : capacity_(capacity) {
@@ -33,10 +44,7 @@ std::vector<std::int64_t> eval_memo::quantize(
         // only ever return a value computed under the *identical* workload
         // vector — the delta path's bit-identity proof leans on this.
         for (const req_per_sec r : rates) {
-            std::int64_t bits;
-            static_assert(sizeof(bits) == sizeof(r));
-            __builtin_memcpy(&bits, &r, sizeof(bits));
-            key.push_back(bits);
+            key.push_back(static_cast<std::int64_t>(bits_of(r)));
         }
     } else {
         for (const req_per_sec r : rates) {
@@ -128,6 +136,14 @@ void app_solve_cache::clear() {
     hits_ = misses_ = evictions_ = 0;
 }
 
+namespace {
+
+// Set in the first word of isolated signatures only; placed signatures start
+// with a plain app index.
+constexpr std::uint64_t kIsolatedTag = std::uint64_t{1} << 63;
+
+}  // namespace
+
 app_signature make_app_signature(std::size_t app, std::int64_t rate_key,
                                  const lqn::app_deployment& dep,
                                  const std::vector<double>& inflation) {
@@ -141,15 +157,31 @@ app_signature make_app_signature(std::size_t app, std::int64_t rate_key,
         sig.words.push_back(tier.replicas.size());
         for (const auto& rep : tier.replicas) {
             // Caps are multiples of 1e-3 (configuration rounds on write), so
-            // the milli count pins the cap's exact double bits; inflation is
-            // an arbitrary double and is keyed by bit pattern directly.
-            sig.words.push_back(static_cast<std::uint64_t>(
-                static_cast<std::int64_t>(std::llround(rep.cpu_cap * 1000.0))));
-            std::uint64_t bits;
-            static_assert(sizeof(bits) == sizeof(double));
-            __builtin_memcpy(&bits, &inflation[rep.host], sizeof(bits));
-            sig.words.push_back(bits);
+            // the milli count pins the cap's exact double bits — checked,
+            // since an off-grid cap would share a key with its rounded
+            // neighbour. Inflation is an arbitrary double and is keyed by
+            // bit pattern directly.
+            const auto milli = std::llround(rep.cpu_cap * 1000.0);
+            MISTRAL_CHECK_MSG(static_cast<double>(milli) / 1000.0 == rep.cpu_cap,
+                              "app signature cap " << rep.cpu_cap
+                                                   << " is off the 1e-3 grid");
+            sig.words.push_back(
+                static_cast<std::uint64_t>(static_cast<std::int64_t>(milli)));
+            sig.words.push_back(bits_of(inflation[rep.host]));
         }
+    }
+    return sig;
+}
+
+app_signature make_isolated_signature(std::size_t app, req_per_sec rate,
+                                      const std::vector<tier_sizing>& tiers) {
+    app_signature sig;
+    sig.words.reserve(2 + 2 * tiers.size());
+    sig.words.push_back(kIsolatedTag | app);
+    sig.words.push_back(bits_of(rate));
+    for (const auto& t : tiers) {
+        sig.words.push_back(static_cast<std::uint64_t>(t.replicas));
+        sig.words.push_back(bits_of(t.cap));
     }
     return sig;
 }
@@ -294,39 +326,85 @@ std::vector<steady_utility> serial_evaluator::evaluate_batch(
     return out;
 }
 
+namespace {
+
+// App `a` of a sizing in the isolated-replica view: each replica on its own
+// synthetic host, numbered from `*next_host` on.
+lqn::app_deployment isolated_deployment(const cluster::cluster_model& model,
+                                        std::size_t a, req_per_sec rate,
+                                        const std::vector<tier_sizing>& tiers,
+                                        std::size_t* next_host) {
+    lqn::app_deployment dep;
+    dep.spec = &model.app(app_id{static_cast<std::int32_t>(a)});
+    dep.rate = rate;
+    dep.tiers.resize(dep.spec->tier_count());
+    MISTRAL_CHECK(tiers.size() == dep.spec->tier_count());
+    for (std::size_t t = 0; t < dep.spec->tier_count(); ++t) {
+        for (int r = 0; r < tiers[t].replicas; ++r) {
+            dep.tiers[t].replicas.push_back({(*next_host)++, tiers[t].cap});
+        }
+    }
+    return dep;
+}
+
+}  // namespace
+
+isolated_perf serial_evaluator::fold_isolated(std::vector<seconds> response_times) const {
+    isolated_perf out;
+    for (std::size_t a = 0; a < model_->app_count(); ++a) {
+        const seconds rt = response_times[a];
+        out.perf_rate += utility_.perf_rate(rates_[a], rt, targets_[a]);
+        if (rt > targets_[a]) out.meets_all_targets = false;
+    }
+    out.response_times = std::move(response_times);
+    return out;
+}
+
 isolated_perf serial_evaluator::compute_isolated(const app_sizing& s) const {
     MISTRAL_CHECK(s.size() == model_->app_count());
     std::vector<lqn::app_deployment> deps;
     std::size_t fake_host = 0;
     for (std::size_t a = 0; a < model_->app_count(); ++a) {
-        lqn::app_deployment dep;
-        dep.spec = &model_->app(app_id{static_cast<std::int32_t>(a)});
-        dep.rate = rates_[a];
-        dep.tiers.resize(dep.spec->tier_count());
-        for (std::size_t t = 0; t < dep.spec->tier_count(); ++t) {
-            for (int r = 0; r < s[a][t].replicas; ++r) {
-                dep.tiers[t].replicas.push_back({fake_host++, s[a][t].cap});
-            }
-        }
-        deps.push_back(std::move(dep));
+        deps.push_back(isolated_deployment(*model_, a, rates_[a], s[a], &fake_host));
     }
     const auto solved = lqn::solve(deps, fake_host, lqn_);
-    isolated_perf out;
-    out.response_times.reserve(model_->app_count());
-    for (std::size_t a = 0; a < model_->app_count(); ++a) {
-        const seconds rt = solved.apps[a].mean_response_time;
-        out.response_times.push_back(rt);
-        out.perf_rate += utility_.perf_rate(rates_[a], rt, targets_[a]);
-        if (rt > targets_[a]) out.meets_all_targets = false;
-    }
-    return out;
+    std::vector<seconds> rts;
+    rts.reserve(model_->app_count());
+    for (const auto& app : solved.apps) rts.push_back(app.mean_response_time);
+    return fold_isolated(std::move(rts));
+}
+
+lqn::app_result serial_evaluator::solve_isolated_app(
+    std::size_t a, const std::vector<tier_sizing>& tiers) const {
+    // A replica's host load, and so its inflation, depends only on that
+    // replica, so hosts of its own reproduce compute_isolated's numbers.
+    std::size_t hosts = 0;
+    const std::vector<lqn::app_deployment> deps = {
+        isolated_deployment(*model_, a, rates_[a], tiers, &hosts)};
+    const auto loads = lqn::compute_host_loads(deps, hosts, lqn_);
+    return lqn::solve_app(deps[0], loads.inflation, lqn_);
 }
 
 isolated_perf serial_evaluator::evaluate_isolated(const app_sizing& s) {
     MISTRAL_CHECK_MSG(!rates_.empty(), "begin_decision() before evaluate_isolated()");
     ++stats_.evaluations;
     obs_solves_.add();
-    return compute_isolated(s);
+    if (!options_.delta_eval) return compute_isolated(s);
+    MISTRAL_CHECK(s.size() == model_->app_count());
+    std::vector<seconds> rts(model_->app_count());
+    for (std::size_t a = 0; a < model_->app_count(); ++a) {
+        auto sig = make_isolated_signature(a, rates_[a], s[a]);
+        if (const auto* hit = app_cache_.find(sig)) {
+            ++stats_.isolated_hits;
+            rts[a] = hit->mean_response_time;
+            continue;
+        }
+        ++stats_.isolated_solves;
+        auto solved = solve_isolated_app(a, s[a]);
+        rts[a] = solved.mean_response_time;
+        app_cache_.insert(std::move(sig), std::move(solved));
+    }
+    return fold_isolated(std::move(rts));
 }
 
 std::vector<isolated_perf> serial_evaluator::evaluate_isolated_batch(

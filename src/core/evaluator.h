@@ -154,6 +154,11 @@ struct evaluation_stats {
     std::size_t app_solves = 0;
     std::size_t app_cache_hits = 0;
     std::size_t app_cache_misses = 0;
+    // The serial evaluate_isolated path's per-app sub-solves and reuses
+    // (delta_eval on), kept apart from the placed counters above so "LQN
+    // solves per decision" keeps meaning the search's sub-solves.
+    std::size_t isolated_solves = 0;
+    std::size_t isolated_hits = 0;
 
     [[nodiscard]] double hit_rate() const {
         const auto total = cache_hits + cache_misses;
@@ -261,10 +266,23 @@ private:
 
 // The signature of app `a` within a translated deployment (exposed for
 // tests). `rate_key` is the app's element of eval_memo::quantize;
-// `inflation` is lqn::compute_host_loads(...).inflation.
+// `inflation` is lqn::compute_host_loads(...).inflation. Every replica cap
+// must lie on the configuration's 1e-3 grid (checked): the key stores caps
+// as milli counts.
 [[nodiscard]] app_signature make_app_signature(
     std::size_t app, std::int64_t rate_key, const lqn::app_deployment& dep,
     const std::vector<double>& inflation);
+
+// The signature of app `a`'s sub-solve in the isolated-replica view
+// (evaluate_isolated): every replica sits alone on its own synthetic host, so
+// the sub-solve depends only on the app, the bit pattern of its rate, and per
+// tier the replica count and the bit pattern of the cap. Caps are keyed by
+// their exact bits because Perf-Pwr sizings step caps down by repeated
+// subtraction and never round them to the 1e-3 grid. The first word carries
+// a tag bit that placed signatures never set, so the two kinds of entry can
+// share one cache without aliasing.
+[[nodiscard]] app_signature make_isolated_signature(
+    std::size_t app, req_per_sec rate, const std::vector<tier_sizing>& tiers);
 
 // The pluggable engine interface. Implementations are bound to one decision
 // context at a time via begin_decision(); evaluate/evaluate_batch results are
@@ -292,19 +310,16 @@ public:
     [[nodiscard]] virtual std::vector<steady_utility> evaluate_batch(
         const std::vector<cluster::configuration>& configs) = 0;
 
-    // The Perf-Pwr gradient's isolated-replica performance view.
+    // The Perf-Pwr gradient's isolated-replica performance view. A gradient
+    // candidate changes one (app, tier), so the serial engine reuses cached
+    // per-app sub-solves for the other apps (bit-identical to a fresh
+    // solve; see make_isolated_signature).
     [[nodiscard]] virtual isolated_perf evaluate_isolated(const app_sizing& s) = 0;
 
     // Batch form: all of one gradient step's candidate sizings at once.
     // Results in input order, bit-identical to sequential evaluate_isolated.
     [[nodiscard]] virtual std::vector<isolated_perf> evaluate_isolated_batch(
         const std::vector<app_sizing>& sizings) = 0;
-
-    // Runs fn(0) … fn(count − 1), possibly across the worker pool. fn must be
-    // pure per-index work writing only caller-owned, per-index output slots;
-    // the search drafts a whole expansion's children through this.
-    virtual void parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) = 0;
 
     // Concurrent workers the batch path may use (1 for the serial path);
     // what the search meter charges power against.
@@ -334,10 +349,6 @@ public:
     [[nodiscard]] isolated_perf evaluate_isolated(const app_sizing& s) override;
     [[nodiscard]] std::vector<isolated_perf> evaluate_isolated_batch(
         const std::vector<app_sizing>& sizings) override;
-    void parallel_for(std::size_t count,
-                      const std::function<void(std::size_t)>& fn) override {
-        for (std::size_t i = 0; i < count; ++i) fn(i);
-    }
     [[nodiscard]] std::size_t parallelism() const override { return 1; }
     void reset_memo() override;
     [[nodiscard]] const evaluation_stats& stats() const override { return stats_; }
@@ -348,7 +359,15 @@ protected:
     // The pure computations: no memo access, no mutation — safe to call from
     // worker threads concurrently.
     [[nodiscard]] steady_utility compute(const cluster::configuration& config) const;
+    // The isolated-replica view solved whole: every app's replicas on fresh
+    // synthetic hosts, one lqn::solve. The reference the per-app reuse in
+    // evaluate_isolated must match bit for bit.
     [[nodiscard]] isolated_perf compute_isolated(const app_sizing& s) const;
+    // App `a`'s sub-solve within that view, on synthetic hosts of its own.
+    [[nodiscard]] lqn::app_result solve_isolated_app(
+        std::size_t a, const std::vector<tier_sizing>& tiers) const;
+    // Folds per-app response times into an isolated_perf (app order).
+    [[nodiscard]] isolated_perf fold_isolated(std::vector<seconds> response_times) const;
     // Folds per-app solve results and host utilizations into a steady_utility
     // with exactly compute()'s accounting (power first, then the per-app
     // perf terms in app order). Pure.
@@ -405,13 +424,16 @@ public:
         const std::vector<cluster::configuration>& configs) override;
     [[nodiscard]] std::vector<isolated_perf> evaluate_isolated_batch(
         const std::vector<app_sizing>& sizings) override;
-    void parallel_for(std::size_t count,
-                      const std::function<void(std::size_t)>& fn) override;
     [[nodiscard]] std::size_t parallelism() const override {
         return workers_.size() + 1;
     }
 
 private:
+    // Runs fn(0) … fn(count − 1) across the pool; fn must be pure per-index
+    // work writing only caller-owned, per-index output slots. Rethrows the
+    // first exception an invocation threw.
+    void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
+
     // Delta-evaluation staging for evaluate_batch: probes the app cache for
     // every memo-missed configuration on the calling thread (deduplicating
     // signatures pending within the batch exactly as the serial

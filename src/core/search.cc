@@ -10,6 +10,7 @@
 
 #include "cluster/translate.h"
 #include "common/check.h"
+#include "core/drafting.h"
 #include "core/planner.h"
 #include "obs/journal.h"
 #include "obs/profile.h"
@@ -39,6 +40,9 @@ struct vertex {
     int depth = 0;               // actions on the path
     double utility = 0.0;        // Algorithm 1's vertex utility (avg rate)
     bool terminal = false;       // reached via the "null" edge
+    // Hosts whose CPU caps overbook the packing limit. Every vertex is
+    // structurally valid (see find), so it is a candidate iff this is 0.
+    std::size_t overbooked = 0;
 };
 
 // VM the action touches; invalid id for host power actions.
@@ -54,27 +58,6 @@ vm_id touched_vm(const action& a) {
             }
         },
         a);
-}
-
-// Hosts whose applications feel the action's transient.
-std::vector<host_id> affected_hosts(const configuration& config, const action& a) {
-    std::vector<host_id> out;
-    std::visit(
-        [&](const auto& x) {
-            using T = std::decay_t<decltype(x)>;
-            if constexpr (std::is_same_v<T, cluster::migrate>) {
-                out = {config.placement(x.vm)->host, x.to};
-            } else if constexpr (std::is_same_v<T, cluster::add_replica>) {
-                out = {x.to};
-            } else if constexpr (std::is_same_v<T, cluster::remove_replica> ||
-                                 std::is_same_v<T, cluster::increase_cpu> ||
-                                 std::is_same_v<T, cluster::decrease_cpu>) {
-                out = {config.placement(x.vm)->host};
-            }
-            // Power cycling affects no running application (Section V-B).
-        },
-        a);
-    return out;
 }
 
 }  // namespace
@@ -232,14 +215,14 @@ search_result adaptation_search::find(const configuration& current,
         return occ;
     };
 
-    // Transient accrual rate while `a` executes in configuration `c`, with
-    // `occ` = occupancy(c).
-    auto transient_rate = [&](const configuration& c,
-                              const std::vector<std::uint8_t>& occ,
+    // Transient accrual rate while `a` executes in a configuration with
+    // steady evaluation `ce` and occupancy `occ`; `touched` are the hosts
+    // whose applications feel it.
+    auto transient_rate = [&](const std::vector<std::uint8_t>& occ,
                               const steady_utility& ce, const action& a,
-                              const cost::cost_entry& entry) -> double {
+                              const cost::cost_entry& entry,
+                              const touched_hosts& touched) -> double {
         const vm_id vm = touched_vm(a);
-        const auto touched = affected_hosts(c, a);
         double rate = utility_.power_rate(std::max(0.0, ce.power + entry.delta_power));
         for (std::size_t s = 0; s < model.app_count(); ++s) {
             seconds rt = ce.response_times[s];
@@ -290,47 +273,8 @@ search_result adaptation_search::find(const configuration& current,
                           static_cast<double>(model.vm_count()));
     };
 
-    auto allowed = [&](const configuration& c, const action& a) -> bool {
-        if (!options_.app_hosts.empty()) {
-            const bool pool_ok = std::visit(
-                [&](const auto& x) -> bool {
-                    using T = std::decay_t<decltype(x)>;
-                    if constexpr (std::is_same_v<T, cluster::migrate> ||
-                                  std::is_same_v<T, cluster::add_replica>) {
-                        const auto app = model.vm(x.vm).app;
-                        return options_.app_hosts[app.index()][x.to.index()];
-                    } else {
-                        return true;
-                    }
-                },
-                a);
-            if (!pool_ok) return false;
-        }
-        if (!options_.host_scope.empty()) {
-            const auto& scope = options_.host_scope;
-            const bool scope_ok = std::visit(
-                [&](const auto& x) -> bool {
-                    using T = std::decay_t<decltype(x)>;
-                    if constexpr (std::is_same_v<T, cluster::migrate>) {
-                        return scope[c.placement(x.vm)->host.index()] &&
-                               scope[x.to.index()];
-                    } else if constexpr (std::is_same_v<T, cluster::add_replica>) {
-                        return scope[x.to.index()];
-                    } else if constexpr (std::is_same_v<T, cluster::remove_replica> ||
-                                         std::is_same_v<T, cluster::increase_cpu> ||
-                                         std::is_same_v<T, cluster::decrease_cpu>) {
-                        return scope[c.placement(x.vm)->host.index()];
-                    } else if constexpr (std::is_same_v<T, cluster::power_on>) {
-                        return scope[x.host.index()];
-                    } else {
-                        return scope[x.host.index()];
-                    }
-                },
-                a);
-            if (!scope_ok) return false;
-        }
-        return true;
-    };
+    // Cost entries for this decision's rates, one lookup per (kind, app, tier).
+    decision_costs costs(model, costs_, rates);
 
     std::vector<vertex> vertices;
     // Max-heap of (utility, vertex index); stale entries skipped on pop.
@@ -339,9 +283,14 @@ search_result adaptation_search::find(const configuration& current,
     // Best utility recorded per configuration (non-terminal vertices).
     std::unordered_map<configuration, double> best_seen;
 
+    // The root is structurally valid (checked above) and every edge is an
+    // action `applicable` accepted, so by induction every vertex is
+    // structurally valid: candidacy reduces to the packing test, which
+    // draft_child updates on the ≤ 2 hosts each action touches.
     vertex root;
     root.config = current;
     root.utility = ideal_rate;  // average-rate bound: nothing beats the ideal
+    root.overbooked = overbooked_hosts(model, current);
     vertices.push_back(root);
     open.push({root.utility, 0});
     best_seen.emplace(current, root.utility);
@@ -384,22 +333,25 @@ search_result adaptation_search::find(const configuration& current,
     // Drafts the child vertex reached by firing `a` from vertex `v` (index
     // `parent_idx`): everything except the steady-state valuation, which
     // value_child fills in once the batch evaluation has run. `pe` is the
-    // parent's (memoized) steady evaluation.
+    // parent's (memoized) steady evaluation and `occ` its occupancy.
     auto draft_child = [&](const vertex& v, std::size_t parent_idx,
                            const steady_utility& pe,
                            const std::vector<std::uint8_t>& occ,
                            const action& a) -> vertex {
-        const auto entry = costs_.lookup(model, a, rates);
+        const auto& entry = costs.lookup(a);
+        const auto touched = affected_hosts(v.config, a);
         vertex c;
         c.via = a;
         c.parent = static_cast<int>(parent_idx);
         c.config = apply(model, v.config, a);
+        c.overbooked =
+            overbooked_after(model, v.config, v.overbooked, c.config, touched);
         // Transient accrual is clamped at the ideal rate so that time spent
         // mid-adaptation can never appear *better* than the best legal
         // steady state (which would invite lingering in intermediate
         // configurations and break the heuristic's bound).
         const double during =
-            std::min(transient_rate(v.config, occ, pe, a, entry), ideal_rate);
+            std::min(transient_rate(occ, pe, a, entry, touched), ideal_rate);
         c.accrued = v.accrued + entry.duration * during -
                     options_.per_action_overhead;
         c.duration = v.duration + entry.duration;
@@ -526,18 +478,19 @@ search_result adaptation_search::find(const configuration& current,
         std::size_t at = 0;
         int seeded = 0;
         for (const auto& a : plan_transition(model, current, ideal.ideal)) {
-            const vertex v = vertices[at];  // copy; vertices reallocates
+            // Not held across record_vertex, which may reallocate vertices.
+            const vertex& v = vertices[at];
             if (++seeded > seed_limit || !menu_allows(a) ||
-                !applicable(model, v.config, a) || !allowed(v.config, a)) {
+                !applicable(model, v.config, a) ||
+                !action_allowed(model, options_, v.config, a)) {
                 break;
             }
             const seconds seed_start = profiling ? meter.elapsed() : 0.0;
             meter.on_expansion();
             vertex c = draft_child(v, at, engine.evaluate(v.config),
                                    occupancy(v.config), a);
-            value_child(c, is_candidate(model, c.config)
-                               ? engine.evaluate(c.config).rate
-                               : ideal_rate);
+            value_child(c, c.overbooked == 0 ? engine.evaluate(c.config).rate
+                                             : ideal_rate);
             const int idx = record_vertex(std::move(c));
             if (idx < 0) break;
             add_terminal(static_cast<std::size_t>(idx));
@@ -557,13 +510,12 @@ search_result adaptation_search::find(const configuration& current,
     while (!open.empty() && stats.expansions < options_.max_expansions) {
         const auto [u, idx] = open.top();
         open.pop();
-        const vertex v = vertices[idx];  // copy: vertices may reallocate below
-        if (!v.terminal) {
-            const auto it = best_seen.find(v.config);
-            if (it != best_seen.end() && u < it->second - 1e-12) continue;  // stale
-        }
-        if (v.terminal) {
+        if (vertices[idx].terminal) {
             return finish(static_cast<int>(idx));
+        }
+        {
+            const auto it = best_seen.find(vertices[idx].config);
+            if (it != best_seen.end() && u < it->second - 1e-12) continue;  // stale
         }
 
         ++stats.expansions;
@@ -577,7 +529,7 @@ search_result adaptation_search::find(const configuration& current,
                 note_depth(prof_pending_depth, 1.0,
                            now_elapsed - prof_span_start);
             }
-            prof_pending_depth = v.depth;
+            prof_pending_depth = vertices[idx].depth;
             prof_span_start = now_elapsed;
         }
         ut += (now_elapsed - last_elapsed) * current_rate;
@@ -597,6 +549,8 @@ search_result adaptation_search::find(const configuration& current,
 
         // Terminal ("null") child from candidate configurations.
         add_terminal(idx);
+        // Not held across record_vertex, which may reallocate vertices.
+        const vertex& v = vertices[idx];
 
         // Action children. The meter charges per child *evaluated* — child
         // construction (cost lookup + utility estimation) is where a real
@@ -607,49 +561,50 @@ search_result adaptation_search::find(const configuration& current,
         if (static_cast<std::size_t>(v.depth) >= options_.max_plan_actions) continue;
         std::vector<action> acts;
         for (const auto& a : enumerate_actions(model, v.config, options_.menu)) {
-            if (allowed(v.config, a)) acts.push_back(a);
+            if (action_allowed(model, options_, v.config, a)) acts.push_back(a);
         }
         if (acts.empty()) continue;
         meter.charge(acts.size(), engine.parallelism());
 
-        // Draft the whole expansion's children as one parallel job: per-child
-        // work (apply + candidacy + transient accounting + prune distance) is
-        // pure given the parent, and each worker writes only its own index's
-        // slots. Memo-backed steady evaluation then runs as a second batch —
-        // the LQN solves the parallel evaluator fans out — with all cache
-        // bookkeeping back on this thread, so results are bit-identical to
-        // the serial drafting loop.
+        // Draft the children serially (apply + incremental candidacy +
+        // transient accounting + prune distance, all pure given the parent),
+        // then value the candidates' steady states as one batch — the LQN
+        // solves a parallel evaluator fans out.
         const auto pe = engine.evaluate(v.config);
         const auto occ = occupancy(v.config);
-        std::vector<vertex> children(acts.size());
-        std::vector<std::uint8_t> child_candidate(acts.size(), 0);
-        std::vector<double> child_distance(acts.size(), 0.0);
-        const bool score_children = prune_mode;
-        engine.parallel_for(acts.size(), [&](std::size_t j) {
-            vertex c = draft_child(v, idx, pe, occ, acts[j]);
-            child_candidate[j] = is_candidate(model, c.config) ? 1 : 0;
-            if (child_candidate[j] == 0) value_child(c, ideal_rate);
-            if (score_children) child_distance[j] = prune_distance(c.config);
-            children[j] = std::move(c);
-        });
+        std::vector<vertex> children;
+        children.reserve(acts.size());
+        std::vector<double> child_distance;
         std::vector<std::size_t> steady_index;  // children needing a steady eval
-        std::vector<configuration> steady_configs;
-        for (std::size_t j = 0; j < children.size(); ++j) {
-            if (child_candidate[j] != 0) {
-                steady_index.push_back(j);
-                steady_configs.push_back(children[j].config);
+        for (const auto& a : acts) {
+            vertex c = draft_child(v, idx, pe, occ, a);
+            if (c.overbooked == 0) {
+                steady_index.push_back(children.size());
+            } else {
+                value_child(c, ideal_rate);
             }
+            if (prune_mode) child_distance.push_back(prune_distance(c.config));
+            children.push_back(std::move(c));
         }
-        if (!steady_configs.empty()) {
+        if (!steady_index.empty()) {
+            // The batch borrows the candidates' configurations and hands
+            // them back, so no configuration is copied.
+            std::vector<configuration> steady_configs;
+            steady_configs.reserve(steady_index.size());
+            for (const std::size_t j : steady_index) {
+                steady_configs.push_back(std::move(children[j].config));
+            }
             const auto evals = engine.evaluate_batch(steady_configs);
             for (std::size_t i = 0; i < steady_index.size(); ++i) {
-                value_child(children[steady_index[i]], evals[i].rate);
+                vertex& c = children[steady_index[i]];
+                c.config = std::move(steady_configs[i]);
+                value_child(c, evals[i].rate);
             }
         }
         stats.generated += children.size();
         obs_generated_.add(static_cast<std::int64_t>(children.size()));
 
-        if (prune_mode && !children.empty()) {
+        if (prune_mode) {
             stats.pruned = true;
             // Keep the children closest to the ideal configuration.
             std::vector<std::pair<double, std::size_t>> scored;

@@ -163,5 +163,78 @@ TEST(ConfigurationHash, EqualConfigurationsFromDifferentHistoriesHashEqual) {
     EXPECT_EQ(a.hash(), b.hash());
 }
 
+// Per-host state lives in one block per configuration; a copy must carry
+// all of it — power, failure marks, and the derived aggregates — and stay
+// independent of the original afterwards.
+TEST(ConfigurationHash, CopiesCompareAndHashEqual) {
+    const auto m = make_model(6, 2);
+    auto original = base_config(m);
+    original.set_host_power(host_id{5}, false);
+    original.set_host_failed(host_id{4}, true);
+    original.set_cap(m.tier_vms(app_id{0}, 1)[0], 0.7);
+
+    const configuration copy = original;
+    EXPECT_EQ(copy, original);
+    EXPECT_EQ(copy.hash(), original.hash());
+    EXPECT_TRUE(copy.verify_hash());
+    for (std::size_t h = 0; h < m.host_count(); ++h) {
+        const host_id host{static_cast<std::int32_t>(h)};
+        EXPECT_EQ(copy.host_on(host), original.host_on(host)) << h;
+        EXPECT_EQ(copy.host_failed(host), original.host_failed(host)) << h;
+        EXPECT_EQ(copy.cap_sum(host), original.cap_sum(host)) << h;
+        EXPECT_EQ(copy.vm_count_on(host), original.vm_count_on(host)) << h;
+    }
+
+    configuration assigned(m.vm_count(), m.host_count());
+    assigned = original;
+    EXPECT_EQ(assigned, original);
+    EXPECT_EQ(assigned.hash(), original.hash());
+
+    // Mutating the copy leaves the original untouched.
+    assigned.set_host_failed(host_id{4}, false);
+    assigned.set_host_power(host_id{5}, true);
+    EXPECT_NE(assigned, original);
+    EXPECT_TRUE(original.host_failed(host_id{4}));
+    EXPECT_FALSE(original.host_on(host_id{5}));
+    EXPECT_EQ(copy, original);
+}
+
+// Power and failure toggles on every host restore the exact prior hash and
+// compare equal again, whether the host started on, off, or hosting VMs.
+TEST(ConfigurationHash, HostTogglesRestoreHashAndEquality) {
+    const auto m = make_model(6, 2);
+    auto c = base_config(m);
+    c.set_host_power(host_id{5}, false);  // one host starts off
+    const configuration before = c;
+    for (std::size_t h = 0; h < m.host_count(); ++h) {
+        const host_id host{static_cast<std::int32_t>(h)};
+        const bool was_on = c.host_on(host);
+        if (c.vm_count_on(host) == 0) {
+            c.set_host_power(host, !was_on);
+            EXPECT_NE(c.hash(), before.hash()) << h;
+            EXPECT_NE(c, before) << h;
+            c.set_host_power(host, was_on);
+            EXPECT_EQ(c.hash(), before.hash()) << h;
+            EXPECT_EQ(c, before) << h;
+
+            // Crash and heal: the mark forces the host off; clearing it
+            // leaves it off until it is deliberately powered back on.
+            c.set_host_failed(host, true);
+            EXPECT_NE(c.hash(), before.hash()) << h;
+            EXPECT_NE(c, before) << h;
+            c.set_host_failed(host, false);
+            c.set_host_power(host, was_on);
+            EXPECT_EQ(c.hash(), before.hash()) << h;
+            EXPECT_EQ(c, before) << h;
+        }
+        // Idempotent writes on a host with VMs change nothing either.
+        c.set_host_power(host, was_on);
+        c.set_host_failed(host, false);
+        EXPECT_EQ(c.hash(), before.hash()) << h;
+        EXPECT_EQ(c, before) << h;
+    }
+    EXPECT_TRUE(c.verify_hash());
+}
+
 }  // namespace
 }  // namespace mistral::cluster

@@ -191,33 +191,142 @@ TEST_F(EvaluatorTest, IsolatedBatchMatchesSequential) {
     EXPECT_EQ(serial.stats().evaluations, par.stats().evaluations);
 }
 
+// The pool behind the parallel batches: every index runs exactly once, at
+// any batch size, so each result lands in its own slot and matches the
+// serial engine's.
 TEST_F(EvaluatorTest, ParallelForRunsEveryIndexExactlyOnce) {
+    serial_evaluator serial(model, utility_model{});
     parallel_evaluator par(model, utility_model{}, {},
                            evaluation_options{}.with_threads(4));
+    serial.begin_decision({40.0, 40.0});
+    par.begin_decision({40.0, 40.0});
+    std::size_t total = 0;
     for (const std::size_t count : {0u, 1u, 3u, 257u}) {
-        std::vector<int> touched(count, 0);
-        par.parallel_for(count, [&](std::size_t i) { ++touched[i]; });
+        // Distinct sizings, so a skipped or repeated index shows as a
+        // mismatch in its slot.
+        std::vector<app_sizing> sizings;
         for (std::size_t i = 0; i < count; ++i) {
-            EXPECT_EQ(touched[i], 1) << "count " << count << " index " << i;
+            app_sizing s(2);
+            for (auto& app : s) app.assign(3, {1, 0.5});
+            s[i % 2][i % 3].cap = 0.2 + 0.6 * static_cast<double>(i) / 257.0;
+            sizings.push_back(std::move(s));
         }
+        const auto batch = par.evaluate_isolated_batch(sizings);
+        ASSERT_EQ(batch.size(), count);
+        for (std::size_t i = 0; i < count; ++i) {
+            const auto one = serial.evaluate_isolated(sizings[i]);
+            EXPECT_EQ(batch[i].response_times, one.response_times)
+                << "count " << count << " index " << i;
+            EXPECT_EQ(batch[i].perf_rate, one.perf_rate);
+        }
+        total += count;
+        EXPECT_EQ(par.stats().evaluations, total);
     }
 }
 
 TEST_F(EvaluatorTest, ParallelForPropagatesExceptions) {
     parallel_evaluator par(model, utility_model{}, {},
                            evaluation_options{}.with_threads(4));
-    EXPECT_THROW(par.parallel_for(64,
-                                  [&](std::size_t i) {
-                                      if (i == 13) throw std::runtime_error("boom");
-                                  }),
-                 std::runtime_error);
+    par.begin_decision({40.0, 40.0});
+    std::vector<app_sizing> sizings(64);
+    for (auto& s : sizings) {
+        s.resize(2);
+        for (auto& app : s) app.assign(3, {1, 0.5});
+    }
+    sizings[13][1][2].replicas = 0;  // a tier without replicas fails validation
+    EXPECT_THROW((void)par.evaluate_isolated_batch(sizings), invariant_error);
     // The pool survives a throwing job.
-    std::vector<int> touched(8, 0);
-    par.parallel_for(8, [&](std::size_t i) { ++touched[i]; });
-    for (const int t : touched) EXPECT_EQ(t, 1);
+    const std::vector<cluster::configuration> batch = {base(0.3), base(0.4),
+                                                       base(0.5)};
+    const auto out = par.evaluate_batch(batch);
+    ASSERT_EQ(out.size(), batch.size());
+    for (const auto& u : out) EXPECT_EQ(u.response_times.size(), 2u);
 }
 
 // ---- delta evaluation ------------------------------------------------------
+
+// Exposes the whole-solve reference of the isolated view.
+struct isolated_probe : serial_evaluator {
+    using serial_evaluator::serial_evaluator;
+    using serial_evaluator::compute_isolated;
+};
+
+// Perf-Pwr steps caps down by repeated subtraction, so 0.8 − 3·0.05 is a
+// few ulps off 0.65 and the two must not share a cache entry. Each is run
+// twice, so both the solving and the reusing path meet the reference.
+TEST_F(EvaluatorTest, IsolatedReuseKeysCapsByExactBits) {
+    isolated_probe ev(model, utility_model{});
+    ev.begin_decision({60.0, 60.0});
+    fraction stepped = 0.8;
+    for (int i = 0; i < 3; ++i) stepped -= 0.05;
+    ASSERT_NE(stepped, 0.65);
+    std::vector<seconds> first_rt;
+    for (const fraction cap : {stepped, 0.65, stepped, 0.65}) {
+        app_sizing s(2);
+        for (auto& app : s) app.assign(3, {1, 0.5});
+        s[0][2].cap = cap;  // the database tier
+        const auto cached = ev.evaluate_isolated(s);
+        const auto fresh = ev.compute_isolated(s);
+        EXPECT_EQ(cached.response_times, fresh.response_times) << cap;
+        EXPECT_EQ(cached.perf_rate, fresh.perf_rate) << cap;
+        EXPECT_EQ(cached.meets_all_targets, fresh.meets_all_targets) << cap;
+        if (first_rt.empty()) first_rt = fresh.response_times;
+    }
+    // At this load the two caps solve to response times an ulp apart, so a
+    // key that merged them would have failed above.
+    app_sizing exact(2);
+    for (auto& app : exact) app.assign(3, {1, 0.5});
+    exact[0][2].cap = 0.65;
+    EXPECT_NE(ev.compute_isolated(exact).response_times[0], first_rt[0]);
+    // App 1 solved once, app 0 once per distinct cap; every other probe hit.
+    EXPECT_EQ(ev.stats().isolated_solves, 3u);
+    EXPECT_EQ(ev.stats().isolated_hits, 5u);
+    // Isolated sub-solves stay out of the placed counters.
+    EXPECT_EQ(ev.stats().app_solves, 0u);
+    EXPECT_EQ(ev.stats().app_cache_hits + ev.stats().app_cache_misses, 0u);
+}
+
+TEST_F(EvaluatorTest, IsolatedReuseIsOffWithDeltaEvalOff) {
+    serial_evaluator ev(model, utility_model{}, {},
+                        evaluation_options{}.with_delta_eval(false));
+    ev.begin_decision({40.0, 40.0});
+    app_sizing s(2);
+    for (auto& app : s) app.assign(3, {1, 0.5});
+    (void)ev.evaluate_isolated(s);
+    (void)ev.evaluate_isolated(s);
+    EXPECT_EQ(ev.stats().isolated_solves + ev.stats().isolated_hits, 0u);
+    EXPECT_EQ(ev.stats().evaluations, 2u);
+}
+
+// Placed signatures store caps as milli counts, which is exact only on the
+// configuration's 1e-3 grid; an off-grid cap is refused, and isolated
+// signatures never alias placed ones.
+TEST_F(EvaluatorTest, SignaturesRejectOffGridCapsAndKeepKindsApart) {
+    const auto& spec = model.app(app_id{0});
+    lqn::app_deployment dep;
+    dep.spec = &spec;
+    dep.rate = 40.0;
+    dep.tiers.resize(spec.tier_count());
+    for (std::size_t t = 0; t < spec.tier_count(); ++t) {
+        dep.tiers[t].replicas.push_back({t, 0.65});
+    }
+    const std::vector<double> inflation(spec.tier_count(), 1.0);
+    EXPECT_NO_THROW((void)make_app_signature(0, 0, dep, inflation));
+    fraction stepped = 0.8;
+    for (int i = 0; i < 3; ++i) stepped -= 0.05;
+    dep.tiers[1].replicas[0].cpu_cap = stepped;
+    EXPECT_THROW((void)make_app_signature(0, 0, dep, inflation), invariant_error);
+
+    const std::vector<tier_sizing> tiers(spec.tier_count(), {1, 0.65});
+    const auto isolated = make_isolated_signature(0, 40.0, tiers);
+    dep.tiers[1].replicas[0].cpu_cap = 0.65;
+    EXPECT_NE(isolated.words.front(),
+              make_app_signature(0, 0, dep, inflation).words.front());
+    // Exact cap bits: the stepped cap keys apart from 0.65.
+    std::vector<tier_sizing> stepped_tiers = tiers;
+    stepped_tiers[0].cap = stepped;
+    EXPECT_NE(make_isolated_signature(0, 40.0, stepped_tiers), isolated);
+}
 
 // Delta evaluation must be invisible in the numbers: every field of every
 // steady_utility bit-matches the full whole-configuration solve.

@@ -62,6 +62,27 @@ TEST(SnapshotCodec, ConfigurationRoundTripsExactlyIncludingFailureMarks) {
     EXPECT_EQ(to_json(back), to_json(c));
 }
 
+// The codec's bytes — and the configuration hash — for a fixed
+// configuration are pinned, so a change to how configuration stores its
+// state cannot silently change checkpoints or journals.
+TEST(SnapshotCodec, ConfigurationBytesArePinned) {
+    const auto model = two_app_model(4);
+    cluster::configuration c(model.vm_count(), model.host_count());
+    c.set_host_power(host_id{0}, true);
+    c.set_host_power(host_id{1}, true);
+    c.set_host_power(host_id{3}, true);
+    c.deploy(vm_id{0}, host_id{0}, 0.381);
+    c.deploy(vm_id{1}, host_id{1}, 0.2);
+    c.deploy(vm_id{2}, host_id{3}, 0.555);
+    c.set_host_failed(host_id{2}, true);
+    EXPECT_EQ(to_json(c),
+              R"({"vms":10,"hosts":4,"on":[0,1,3],"down":[2],)"
+              R"("placed":[[0,0,0.381],[1,1,0.2],[2,3,0.555]]})");
+    EXPECT_EQ(c.hash(), std::size_t{12566769801292626150ULL});
+    const cluster::configuration copy = c;
+    EXPECT_EQ(to_json(copy), to_json(c));
+}
+
 TEST(SnapshotCodec, DecisionInputRoundTripsAllChannels) {
     const auto model = two_app_model(4);
     decision_input in;
