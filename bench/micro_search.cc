@@ -2,29 +2,19 @@
 //
 // Three modes:
 //
-//  * Default: a delta-evaluation {on, off} × threads ∈ {1,2,4,8} ×
-//    cluster-size sweep of full self-aware decisions, written to
-//    BENCH_search.json. Per cell: measured wall-clock decision latency, the
-//    meter-modeled latency, the eval cache hit rate, the per-app sub-solve
-//    cache hit rate, and the LQN sub-solves actually paid per decision. The
-//    meter prices decision *work* identically in every cell (the model-clock
-//    contract), so all cells of one size perform bit-identical decisions —
-//    including across the delta on/off axis, which is the benchmark's A/B
-//    column: same decision, fewer sub-solves. The modeled latency applies
-//    the meter's batched concurrency accounting — a charge of n evaluations
-//    on w workers occupies ⌈n/w⌉ wall slots — to that fixed work. The
-//    wall-clock column only reflects parallel execution when the host
-//    actually has cores to run the workers on (host_cpus is recorded
-//    alongside for that reason); the modeled column is hardware-independent
-//    and is what later PRs regress against.
+//  * Default: a cluster-size sweep of full self-aware decisions from a cold
+//    sub-solve cache, written to BENCH_search.json. Per cell: measured
+//    wall-clock decision latency, the per-app sub-solve cache hit rate, and
+//    the LQN sub-solves actually paid per decision (deterministic). Wall
+//    times only compare between runs on the same host, so host_cpus is
+//    recorded alongside.
 //
-//  * --smoke: the CI gate. Runs the 8-host/4-app cell with delta evaluation
-//    on and off, fails if the chosen plans or utilities differ bit-wise, if
-//    the decision utility deviates from the committed golden value, or if
-//    delta evaluation does not cut LQN sub-solves by at least 2×; then the
-//    pod gates — a single-pod coordinator must match the flat controller
-//    bit-for-bit (which transitively pins the single-pod utility to the
-//    golden value above), the 256-host/64-app sharded refinement must
+//  * --smoke: the CI gate. Runs the 8-host/4-app cell and fails if the
+//    decision utility deviates from the committed golden value or the
+//    decision does not pay exactly the committed number of LQN sub-solves;
+//    then the pod gates — a single-pod coordinator must match the flat
+//    controller bit-for-bit (which transitively pins the single-pod utility
+//    to the golden value above), the 256-host/64-app sharded refinement must
 //    stay under 1 s modeled, and a warm-restarted coordinator (checkpoint +
 //    decision-tail replay) must decide bit-identically to an uninterrupted
 //    one. Perf numbers are printed but never gated (CI hardware varies).
@@ -60,7 +50,7 @@ void bm_self_aware_search(benchmark::State& state) {
                                          cost::cost_table::paper_defaults(), {});
     std::vector<req_per_sec> rates(apps, 60.0);
     for (auto _ : state) {
-        search.evaluator().reset_memo();  // cold cache: full decision cost
+        search.evaluator().reset();  // cold cache: full decision cost
         core::model_clock_meter meter;
         benchmark::DoNotOptimize(
             search.find(scn.initial, rates, 600.0, 0.0, meter));
@@ -78,66 +68,28 @@ void bm_enumerate_actions(benchmark::State& state) {
 }
 BENCHMARK(bm_enumerate_actions)->Arg(2)->Arg(4);
 
-// A model-clock meter that additionally records the batched concurrency
-// accounting: `charges` is the work (evaluations priced), `slots` the
-// serialized wall slots those charges occupy at the evaluator's parallelism
-// (⌈n/w⌉ per batch). elapsed() prices charges, exactly like
-// model_clock_meter, so the *decision logic* is identical in every cell and
-// charges agree across the threads axis; slots/charges is then the meter's
-// modeled concurrency of the evaluation-dominated portion.
-class slot_meter final : public core::search_meter {
-public:
-    void begin() override { charges_ = slots_ = 0; }
-    void charge(std::size_t evaluations, std::size_t workers) override {
-        charges_ += evaluations;
-        slots_ += (evaluations + workers - 1) / workers;
-    }
-    [[nodiscard]] seconds elapsed() const override {
-        return 0.002 * static_cast<double>(charges_);
-    }
-    [[nodiscard]] watts search_power() const override { return 7.2; }
-
-    [[nodiscard]] std::size_t charges() const { return charges_; }
-    [[nodiscard]] std::size_t slots() const { return slots_; }
-
-private:
-    std::size_t charges_ = 0;
-    std::size_t slots_ = 0;
-};
-
 struct sweep_cell {
     std::size_t hosts = 0;
     std::size_t apps = 0;
-    std::size_t threads = 0;
-    bool delta = true;
-    double mean_ms = 0.0;     // measured wall clock
-    double modeled_ms = 0.0;  // serial wall time × slots / charges
-    double hit_rate = 0.0;
+    double mean_ms = 0.0;  // measured wall clock
     double app_hit_rate = 0.0;
     std::size_t lqn_solves = 0;  // per-app sub-solves paid per decision
-    std::size_t charges = 0;
-    std::size_t slots = 0;
 };
 
-sweep_cell run_cell(std::size_t apps, std::size_t threads, bool delta, int reps) {
+sweep_cell run_cell(std::size_t apps, int reps) {
     auto scn = core::make_rubis_scenario(
         {.host_count = 2 * apps, .app_count = apps});
-    core::search_options opts;
-    opts.evaluation.with_threads(threads).with_delta_eval(delta);
     const core::adaptation_search search(scn.model, core::utility_model{},
-                                         cost::cost_table::paper_defaults(),
-                                         opts);
+                                         cost::cost_table::paper_defaults(), {});
     std::vector<req_per_sec> rates(apps, 60.0);
 
     sweep_cell cell;
     cell.hosts = 2 * apps;
     cell.apps = apps;
-    cell.threads = threads;
-    cell.delta = delta;
     double total_ms = 0.0;
-    for (int r = -1; r < reps; ++r) {  // rep −1 warms everything but the memo
-        search.evaluator().reset_memo();  // clears memo AND the app cache
-        slot_meter meter;
+    for (int r = -1; r < reps; ++r) {  // rep −1 warms everything but the cache
+        search.evaluator().reset();
+        core::model_clock_meter meter;
         const auto t0 = std::chrono::steady_clock::now();
         const auto result = search.find(scn.initial, rates, 600.0, 0.0, meter);
         const auto t1 = std::chrono::steady_clock::now();
@@ -145,11 +97,8 @@ sweep_cell run_cell(std::size_t apps, std::size_t threads, bool delta, int reps)
         if (r < 0) continue;
         total_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
         const auto& es = search.evaluator().stats();
-        cell.hit_rate = es.hit_rate();
         cell.app_hit_rate = es.app_hit_rate();
         cell.lqn_solves = es.app_solves;
-        cell.charges = meter.charges();
-        cell.slots = meter.slots();
     }
     cell.mean_ms = total_ms / reps;
     return cell;
@@ -274,27 +223,11 @@ int run_sweep(const char* path) {
     constexpr int kReps = 3;
     std::vector<sweep_cell> cells;
     for (const std::size_t apps : {2, 4}) {
-        for (const bool delta : {true, false}) {
-            double serial_ms = 0.0;
-            for (const std::size_t threads : {1, 2, 4, 8}) {
-                cells.push_back(run_cell(apps, threads, delta, kReps));
-                auto& c = cells.back();
-                if (threads == 1) serial_ms = c.mean_ms;
-                // All cells of one size charge identical work; the modeled
-                // latency spreads the serial cell's measured time over this
-                // cell's wall slots.
-                c.modeled_ms = serial_ms * static_cast<double>(c.slots) /
-                               static_cast<double>(c.charges);
-                std::printf(
-                    "hosts=%zu apps=%zu threads=%zu delta=%d  wall %8.2f ms  "
-                    "modeled %8.2f ms (x%.2f)  hit_rate=%.3f  "
-                    "app_hit_rate=%.3f  lqn_solves=%zu\n",
-                    c.hosts, c.apps, c.threads, c.delta ? 1 : 0, c.mean_ms,
-                    c.modeled_ms,
-                    static_cast<double>(c.charges) / static_cast<double>(c.slots),
-                    c.hit_rate, c.app_hit_rate, c.lqn_solves);
-            }
-        }
+        cells.push_back(run_cell(apps, kReps));
+        const auto& c = cells.back();
+        std::printf("hosts=%zu apps=%zu  wall %8.2f ms  app_hit_rate=%.3f  "
+                    "lqn_solves=%zu\n",
+                    c.hosts, c.apps, c.mean_ms, c.app_hit_rate, c.lqn_solves);
     }
 
     std::FILE* f = std::fopen(path, "w");
@@ -316,17 +249,11 @@ int run_sweep(const char* path) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const auto& c = cells[i];
         std::fprintf(f,
-                     "    {\"hosts\": %zu, \"apps\": %zu, \"threads\": %zu, "
-                     "\"delta_eval\": %s, "
-                     "\"mean_decision_ms\": %.3f, \"modeled_decision_ms\": %.3f, "
-                     "\"modeled_speedup\": %.3f, \"eval_charges\": %zu, "
-                     "\"eval_slots\": %zu, \"cache_hit_rate\": %.4f, "
-                     "\"app_cache_hit_rate\": %.4f, \"lqn_solves\": %zu}%s\n",
-                     c.hosts, c.apps, c.threads, c.delta ? "true" : "false",
-                     c.mean_ms, c.modeled_ms,
-                     static_cast<double>(c.charges) / static_cast<double>(c.slots),
-                     c.charges, c.slots, c.hit_rate, c.app_hit_rate,
-                     c.lqn_solves, i + 1 < cells.size() ? "," : "");
+                     "    {\"hosts\": %zu, \"apps\": %zu, "
+                     "\"mean_decision_ms\": %.3f, \"app_cache_hit_rate\": %.4f, "
+                     "\"lqn_solves\": %zu}%s\n",
+                     c.hosts, c.apps, c.mean_ms, c.app_hit_rate, c.lqn_solves,
+                     i + 1 < cells.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"pod_cells\": [\n");
     const auto pod_cells = run_pod_sweep();
@@ -380,68 +307,46 @@ int run_sweep(const char* path) {
 // are printed for the log but never gated.
 int run_smoke() {
     // Golden expected utility of the 8-host / 4-app / 60 req/s self-aware
-    // decision (deterministic; independent of threads and delta_eval). Update
-    // only when a PR deliberately changes decision semantics.
+    // decision, and the LQN sub-solves it pays from a cold cache. Both are
+    // deterministic; update them only when a change deliberately alters
+    // decision semantics or what the evaluator caches.
     constexpr double kGoldenUtility = 20.293492001125777;
     constexpr double kTolerance = 1e-9;  // relative
+    constexpr std::size_t kGoldenLqnSolves = 142;
 
     auto scn = core::make_rubis_scenario({.host_count = 8, .app_count = 4});
     const std::vector<req_per_sec> rates(4, 60.0);
-
-    struct outcome {
-        core::search_result result;
-        std::size_t lqn_solves = 0;
-        double wall_ms = 0.0;
-    };
-    auto run = [&](bool delta) {
-        core::search_options opts;
-        opts.evaluation.with_delta_eval(delta);
-        const core::adaptation_search search(scn.model, core::utility_model{},
-                                             cost::cost_table::paper_defaults(),
-                                             opts);
-        core::model_clock_meter meter;
-        const auto t0 = std::chrono::steady_clock::now();
-        outcome o;
-        o.result = search.find(scn.initial, rates, 600.0, 0.0, meter);
-        const auto t1 = std::chrono::steady_clock::now();
-        o.lqn_solves = search.evaluator().stats().app_solves;
-        o.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-        return o;
-    };
-
-    const auto on = run(true);
-    const auto off = run(false);
-    std::printf("smoke: delta=on  %8.2f ms  lqn_solves=%zu  eu=%.17g\n",
-                on.wall_ms, on.lqn_solves, on.result.expected_utility);
-    std::printf("smoke: delta=off %8.2f ms  lqn_solves=%zu  eu=%.17g\n",
-                off.wall_ms, off.lqn_solves, off.result.expected_utility);
 
     int failures = 0;
     auto fail = [&](const char* what) {
         std::fprintf(stderr, "smoke FAILED: %s\n", what);
         ++failures;
     };
-    if (on.result.actions != off.result.actions) {
-        fail("chosen plans differ between delta on and off");
-    }
-    if (on.result.expected_utility != off.result.expected_utility) {
-        fail("expected utility is not bit-identical between delta on and off");
-    }
-    if (on.result.target != off.result.target) {
-        fail("target configurations differ between delta on and off");
-    }
-    const double deviation =
-        std::abs(on.result.expected_utility - kGoldenUtility) /
-        std::abs(kGoldenUtility);
-    if (!(deviation <= kTolerance)) {
-        std::fprintf(stderr, "smoke FAILED: utility %.17g deviates from golden "
-                             "%.17g (rel %.3g > %.1g)\n",
-                     on.result.expected_utility, kGoldenUtility, deviation,
-                     kTolerance);
-        ++failures;
-    }
-    if (on.lqn_solves * 2 > off.lqn_solves) {
-        fail("delta evaluation saved less than 2x in LQN sub-solves");
+    {
+        const core::adaptation_search search(scn.model, core::utility_model{},
+                                             cost::cost_table::paper_defaults(), {});
+        core::model_clock_meter meter;
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto result = search.find(scn.initial, rates, 600.0, 0.0, meter);
+        const auto t1 = std::chrono::steady_clock::now();
+        const std::size_t lqn_solves = search.evaluator().stats().app_solves;
+        std::printf("smoke: 8 hosts / 4 apps  %8.2f ms  lqn_solves=%zu  eu=%.17g\n",
+                    std::chrono::duration<double, std::milli>(t1 - t0).count(),
+                    lqn_solves, result.expected_utility);
+        const double deviation = std::abs(result.expected_utility - kGoldenUtility) /
+                                 std::abs(kGoldenUtility);
+        if (!(deviation <= kTolerance)) {
+            std::fprintf(stderr, "smoke FAILED: utility %.17g deviates from golden "
+                                 "%.17g (rel %.3g > %.1g)\n",
+                         result.expected_utility, kGoldenUtility, deviation,
+                         kTolerance);
+            ++failures;
+        }
+        if (lqn_solves != kGoldenLqnSolves) {
+            std::fprintf(stderr, "smoke FAILED: %zu LQN sub-solves, expected %zu\n",
+                         lqn_solves, kGoldenLqnSolves);
+            ++failures;
+        }
     }
 
     // Degraded-guard overhead gate: on clean telemetry the degraded-mode

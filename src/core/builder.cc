@@ -7,18 +7,8 @@ controller_builder& controller_builder::band(req_per_sec width) {
     return *this;
 }
 
-controller_builder& controller_builder::threads(std::size_t n) {
-    base_.search.evaluation.threads = n;
-    return *this;
-}
-
 controller_builder& controller_builder::self_aware(bool on) {
     base_.search.self_aware = on;
-    return *this;
-}
-
-controller_builder& controller_builder::delta_eval(bool on) {
-    base_.search.evaluation.delta_eval = on;
     return *this;
 }
 

@@ -2,7 +2,7 @@
 //
 // Before this builder existed, every example and bench re-plumbed the same
 // handful of fields across several option structs (`controller_options`,
-// `coordinator_options`, `search_options` plus the evaluation sub-options):
+// `coordinator_options`, `search_options`):
 // band width here, sink there, meter step in a third place. The builder
 // collapses that sprawl into a single fluent surface with two escape
 // hatches — `tweak()` for any field without a dedicated setter, and
@@ -30,9 +30,7 @@ public:
 
     // ---- the fields examples actually set --------------------------------
     controller_builder& band(req_per_sec width);
-    controller_builder& threads(std::size_t n);
     controller_builder& self_aware(bool on);
-    controller_builder& delta_eval(bool on);
     controller_builder& degraded(bool on);
     controller_builder& divergence_guard(bool on);
     // Receding-horizon lookahead over `horizon` control windows; 0 disables.

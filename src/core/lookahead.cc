@@ -313,7 +313,7 @@ lookahead_result lookahead_planner::plan(
     // plan is the reactive one either way, and the planner's modeled search
     // time is real decision latency the controller pays. The journal's
     // per-interval values are then the steady dollars of holding the
-    // reactive target through the forecast (memoized evaluations, no meter
+    // reactive target through the forecast (steady evaluations, no meter
     // charge), discounted identically.
     std::vector<dollars> tail_reactive;
     if (contested) {

@@ -155,7 +155,7 @@ perf_pwr_optimizer::perf_pwr_optimizer(const cluster::cluster_model& model,
 
 perf_pwr_optimizer::perf_pwr_optimizer(const cluster::cluster_model& model,
                                        utility_model utility, perf_pwr_options options,
-                                       std::shared_ptr<utility_evaluator> evaluator)
+                                       std::shared_ptr<serial_evaluator> evaluator)
     : model_(&model),
       utility_(utility),
       options_(options),
@@ -163,7 +163,7 @@ perf_pwr_optimizer::perf_pwr_optimizer(const cluster::cluster_model& model,
     if (options_.cap_step <= 0.0) options_.cap_step = model.limits().cpu_step;
     MISTRAL_CHECK(options_.max_gradient_iterations >= 1);
     if (!evaluator_) {
-        evaluator_ = make_evaluator(model, utility_, options_.lqn);
+        evaluator_ = std::make_shared<serial_evaluator>(model, utility_, options_.lqn);
     }
 }
 
@@ -220,12 +220,10 @@ perf_pwr_result perf_pwr_optimizer::run(const std::vector<req_per_sec>& rates,
             if (packed) break;
 
             // Gradient step: among all single reductions, take the one that
-            // frees the most CPU per unit of performance utility lost. The
-            // reductions are independent, so all of one step's candidates —
-            // batch[0] is the base sizing itself — go to the engine as one
-            // batch; the best pick replays the original enumeration order.
-            std::vector<sizing> batch;
-            batch.push_back(s);
+            // frees the most CPU per unit of performance utility lost.
+            // candidates[0] is the base sizing itself.
+            std::vector<sizing> candidates;
+            candidates.push_back(s);
             for (std::size_t a = 0; a < model.app_count(); ++a) {
                 const auto& app = model.app(app_id{static_cast<std::int32_t>(a)});
                 for (std::size_t t = 0; t < app.tier_count(); ++t) {
@@ -233,23 +231,25 @@ perf_pwr_result perf_pwr_optimizer::run(const std::vector<req_per_sec>& rates,
                     if (s[a][t].cap - options_.cap_step >= tier.min_cpu_cap - 1e-9) {
                         sizing c = s;
                         c[a][t].cap -= options_.cap_step;
-                        batch.push_back(std::move(c));
+                        candidates.push_back(std::move(c));
                     }
                     if (s[a][t].replicas > tier.min_replicas) {
                         sizing c = s;
                         c[a][t].replicas -= 1;
-                        batch.push_back(std::move(c));
+                        candidates.push_back(std::move(c));
                     }
                 }
             }
-            const auto evals = engine.evaluate_isolated_batch(batch);
+            std::vector<isolated_perf> evals;
+            evals.reserve(candidates.size());
+            for (const auto& c : candidates) evals.push_back(engine.evaluate_isolated(c));
             const auto& base = evals[0];
             const double base_alloc = total_allocation(s);
             double best_grad = -std::numeric_limits<double>::infinity();
             std::size_t best_candidate = 0;  // 0 = none (the base itself)
-            for (std::size_t i = 1; i < batch.size(); ++i) {
+            for (std::size_t i = 1; i < candidates.size(); ++i) {
                 if (enforce_targets && !evals[i].meets_all_targets) continue;
-                const double dalloc = base_alloc - total_allocation(batch[i]);
+                const double dalloc = base_alloc - total_allocation(candidates[i]);
                 const double dutil = base.perf_rate - evals[i].perf_rate;
                 const double grad = dalloc / (dutil + 1e-9);
                 if (grad > best_grad) {
@@ -258,7 +258,7 @@ perf_pwr_result perf_pwr_optimizer::run(const std::vector<req_per_sec>& rates,
                 }
             }
             if (best_candidate == 0) break;  // nothing left to shrink
-            s = std::move(batch[best_candidate]);
+            s = std::move(candidates[best_candidate]);
         }
         if (!packed) break;  // cannot fit on this few hosts; fewer is hopeless
 

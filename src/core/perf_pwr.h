@@ -53,15 +53,15 @@ struct perf_pwr_result {
 
 class perf_pwr_optimizer {
 public:
-    // Owns a fresh serial utility_evaluator built from `options.lqn`.
+    // Owns a fresh evaluation engine built from `options.lqn`.
     perf_pwr_optimizer(const cluster::cluster_model& model, utility_model utility,
                        perf_pwr_options options = {});
-    // Shares a caller-owned evaluator — the adaptation search passes its own
-    // so the ideal-configuration scoring and the A* children draw from one
-    // memo within a decision.
+    // Shares a caller-owned engine — the adaptation search passes its own so
+    // the ideal-configuration scoring and the A* children draw from one
+    // sub-solve cache.
     perf_pwr_optimizer(const cluster::cluster_model& model, utility_model utility,
                        perf_pwr_options options,
-                       std::shared_ptr<utility_evaluator> evaluator);
+                       std::shared_ptr<serial_evaluator> evaluator);
 
     // The ideal configuration and utility for workload `rates`. When a
     // `reference` configuration is given, the packer keeps each VM on its
@@ -86,8 +86,8 @@ private:
     perf_pwr_options options_;
     // All steady-rate utility computation (LQN + power + Eq. 1/2) flows
     // through the evaluation engine; the optimizer never calls the models
-    // directly. optimize() stays logically const — the engine only memoizes.
-    std::shared_ptr<utility_evaluator> evaluator_;
+    // directly. optimize() stays logically const — the engine only caches.
+    std::shared_ptr<serial_evaluator> evaluator_;
 
     [[nodiscard]] perf_pwr_result run(const std::vector<req_per_sec>& rates,
                                       bool enforce_targets,

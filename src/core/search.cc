@@ -22,15 +22,6 @@ namespace {
 using cluster::action;
 using cluster::configuration;
 
-// The evaluation engine inherits the search's observability sink unless the
-// caller wired a different one explicitly.
-search_options inherit_eval_sink(search_options options) {
-    if (options.evaluation.sink == nullptr) {
-        options.evaluation.sink = options.sink;
-    }
-    return options;
-}
-
 struct vertex {
     configuration config;
     int parent = -1;
@@ -65,21 +56,19 @@ vm_id touched_vm(const action& a) {
 adaptation_search::adaptation_search(const cluster::cluster_model& model,
                                      utility_model utility, cost::cost_table costs,
                                      search_options options)
-    : adaptation_search(model, utility, std::move(costs),
-                        inherit_eval_sink(std::move(options)), nullptr) {}
+    : adaptation_search(model, utility, std::move(costs), options,
+                        std::make_shared<serial_evaluator>(model, utility, options.lqn,
+                                                           options.sink)) {}
 
 adaptation_search::adaptation_search(const cluster::cluster_model& model,
                                      utility_model utility, cost::cost_table costs,
                                      search_options options,
-                                     std::shared_ptr<utility_evaluator> evaluator)
+                                     std::shared_ptr<serial_evaluator> evaluator)
     : model_(&model),
       utility_(utility),
       costs_(std::move(costs)),
       options_(std::move(options)),
-      evaluator_(evaluator
-                     ? std::move(evaluator)
-                     : make_evaluator(model, utility, options_.lqn,
-                                      options_.evaluation)),
+      evaluator_(std::move(evaluator)),
       perf_pwr_(model, utility,
                 {.lqn = options_.lqn, .app_hosts = options_.app_hosts},
                 evaluator_) {
@@ -141,7 +130,7 @@ search_result adaptation_search::find(const configuration& current,
     stay.target = current;
 
     // Per-decision profile: per-depth expansion/meter-time attribution plus
-    // the budget and memo state at finish. Entirely skipped (one branch per
+    // the budget state at finish. Entirely skipped (one branch per
     // expansion) when no journaling sink is attached.
     const bool profiling = obs::journaling(options_.sink);
     obs::search_profile prof;
@@ -167,7 +156,7 @@ search_result adaptation_search::find(const configuration& current,
         prof.control_window = cw;
         prof.budget = expected_utility;
         prof.duration = r.stats.duration;
-        prof.active_seconds = meter.active_seconds();
+        prof.active_seconds = r.stats.duration;
         prof.power_cost = r.stats.search_power_cost;
         prof.expansions = static_cast<std::int64_t>(r.stats.expansions);
         prof.generated = static_cast<std::int64_t>(r.stats.generated);
@@ -186,7 +175,7 @@ search_result adaptation_search::find(const configuration& current,
     // controller's reconciliation repairs it before the optimizer runs again.
     if (!cluster::structurally_valid(model, current)) {
         stay.stats.duration = meter.elapsed();
-        stay.stats.search_power_cost = meter.active_seconds() * search_cost_rate;
+        stay.stats.search_power_cost = stay.stats.duration * search_cost_rate;
         emit_profile(stay);
         return stay;
     }
@@ -195,7 +184,7 @@ search_result adaptation_search::find(const configuration& current,
     stay.ideal_utility = ideal.feasible ? ideal.utility_rate * cw : 0.0;
     if (!ideal.feasible || ideal.ideal == current) {
         stay.stats.duration = meter.elapsed();
-        stay.stats.search_power_cost = meter.active_seconds() * search_cost_rate;
+        stay.stats.search_power_cost = stay.stats.duration * search_cost_rate;
         emit_profile(stay);
         return stay;
     }
@@ -302,7 +291,6 @@ search_result adaptation_search::find(const configuration& current,
     const double current_rate = engine.evaluate(current).rate;
     dollars ut = 0.0, upwr_t = 0.0;
     seconds last_elapsed = meter.elapsed();
-    seconds last_active = meter.active_seconds();
     bool prune_mode = false;
 
     int best_terminal = -1;
@@ -332,8 +320,8 @@ search_result adaptation_search::find(const configuration& current,
 
     // Drafts the child vertex reached by firing `a` from vertex `v` (index
     // `parent_idx`): everything except the steady-state valuation, which
-    // value_child fills in once the batch evaluation has run. `pe` is the
-    // parent's (memoized) steady evaluation and `occ` its occupancy.
+    // value_child fills in. `pe` is the parent's steady evaluation and `occ`
+    // its occupancy.
     auto draft_child = [&](const vertex& v, std::size_t parent_idx,
                            const steady_utility& pe,
                            const std::vector<std::uint8_t>& occ,
@@ -402,12 +390,9 @@ search_result adaptation_search::find(const configuration& current,
 
     auto finish = [&](int terminal_index) -> search_result {
         stats.duration = meter.elapsed();
-        // Power self-cost is charged on busy worker-seconds, not calendar
-        // time: a parallel evaluator saves wall time but not joules.
-        stats.search_power_cost = meter.active_seconds() * search_cost_rate;
+        stats.search_power_cost = stats.duration * search_cost_rate;
         const auto& es = engine.stats();
-        stats.eval_cache_hits = es.cache_hits - stats0.cache_hits;
-        stats.eval_cache_misses = es.cache_misses - stats0.cache_misses;
+        stats.eval_cache_misses = es.evaluations - stats0.evaluations;
         stats.eval_app_solves = es.app_solves - stats0.app_solves;
         stats.eval_app_cache_hits = es.app_cache_hits - stats0.app_cache_hits;
         stats.eval_app_cache_misses = es.app_cache_misses - stats0.app_cache_misses;
@@ -521,7 +506,6 @@ search_result adaptation_search::find(const configuration& current,
         ++stats.expansions;
         obs_expansions_.add();
         const seconds now_elapsed = meter.elapsed();
-        const seconds now_active = meter.active_seconds();
         if (profiling) {
             // Everything the meter charged since the previous expansion
             // belongs to that expansion; open a span for this one.
@@ -533,10 +517,9 @@ search_result adaptation_search::find(const configuration& current,
             prof_span_start = now_elapsed;
         }
         ut += (now_elapsed - last_elapsed) * current_rate;
-        upwr_t += (now_active - last_active) * search_cost_rate;
+        upwr_t += (now_elapsed - last_elapsed) * search_cost_rate;
         uh -= (now_elapsed - last_elapsed) * uh_rate;
         last_elapsed = now_elapsed;
-        last_active = now_active;
         if (options_.self_aware && !prune_mode &&
             ((ut + upwr_t) >= uh || now_elapsed >= delay_threshold)) {
             prune_mode = true;
@@ -556,50 +539,29 @@ search_result adaptation_search::find(const configuration& current,
         // construction (cost lookup + utility estimation) is where a real
         // controller burns its time and power, so search durations scale
         // with the branching factor, i.e. with cluster size (Table I). One
-        // batched charge covers the whole expansion; the worker count tells
-        // the meter how the wall clock amortizes.
+        // charge covers the whole expansion.
         if (static_cast<std::size_t>(v.depth) >= options_.max_plan_actions) continue;
         std::vector<action> acts;
         for (const auto& a : enumerate_actions(model, v.config, options_.menu)) {
             if (action_allowed(model, options_, v.config, a)) acts.push_back(a);
         }
         if (acts.empty()) continue;
-        meter.charge(acts.size(), engine.parallelism());
+        meter.charge(acts.size(), 1);
 
-        // Draft the children serially (apply + incremental candidacy +
-        // transient accounting + prune distance, all pure given the parent),
-        // then value the candidates' steady states as one batch — the LQN
-        // solves a parallel evaluator fans out.
+        // Draft each child (apply + incremental candidacy + transient
+        // accounting, all pure given the parent), then value it: candidates
+        // by their steady state, the rest by the ideal bound.
         const auto pe = engine.evaluate(v.config);
         const auto occ = occupancy(v.config);
         std::vector<vertex> children;
         children.reserve(acts.size());
         std::vector<double> child_distance;
-        std::vector<std::size_t> steady_index;  // children needing a steady eval
         for (const auto& a : acts) {
             vertex c = draft_child(v, idx, pe, occ, a);
-            if (c.overbooked == 0) {
-                steady_index.push_back(children.size());
-            } else {
-                value_child(c, ideal_rate);
-            }
+            value_child(c, c.overbooked == 0 ? engine.evaluate(c.config).rate
+                                             : ideal_rate);
             if (prune_mode) child_distance.push_back(prune_distance(c.config));
             children.push_back(std::move(c));
-        }
-        if (!steady_index.empty()) {
-            // The batch borrows the candidates' configurations and hands
-            // them back, so no configuration is copied.
-            std::vector<configuration> steady_configs;
-            steady_configs.reserve(steady_index.size());
-            for (const std::size_t j : steady_index) {
-                steady_configs.push_back(std::move(children[j].config));
-            }
-            const auto evals = engine.evaluate_batch(steady_configs);
-            for (std::size_t i = 0; i < steady_index.size(); ++i) {
-                vertex& c = children[steady_index[i]];
-                c.config = std::move(steady_configs[i]);
-                value_child(c, evals[i].rate);
-            }
         }
         stats.generated += children.size();
         obs_generated_.add(static_cast<std::int64_t>(children.size()));

@@ -27,9 +27,8 @@
 
 #include <cstddef>
 #include <limits>
-#include <vector>
-
 #include <memory>
+#include <vector>
 
 #include "cluster/action.h"
 #include "cluster/configuration.h"
@@ -82,10 +81,6 @@ struct search_options {
     bool seed_beyond_plan_limit = true;
     cluster::action_menu menu{};
     lqn::model_options lqn{};
-    // Utility-evaluation engine tuning (threads, memo capacity, rate
-    // quantum); threads > 1 selects the batched parallel evaluator. See
-    // evaluator.h for the defaults and DESIGN.md for the caching contract.
-    evaluation_options evaluation{};
     // Optional per-app host restriction: app_hosts[a][h] == false forbids
     // placing app a's VMs on host h (used by the Perf-Cost baseline's fixed
     // pools). Empty = unrestricted.
@@ -103,8 +98,9 @@ struct search_options {
     watts power_cap = std::numeric_limits<watts>::infinity();
     // Observability hook (obs/journal.h): when journaling, every find() emits
     // one "search" profile event (obs/profile.h) — per-depth expansion counts
-    // and meter time, memo hit rate, budget/pruning state — and the search
-    // registers hot-path counters in the sink's metrics registry. nullptr
+    // and meter time, budget/pruning state — and the search and its
+    // evaluation engine register hot-path counters in the sink's metrics
+    // registry. nullptr
     // (the default null sink) keeps the search byte-identical to an
     // uninstrumented build.
     obs::sink* sink = nullptr;
@@ -116,11 +112,13 @@ struct search_stats {
     std::size_t generated = 0;       // children generated
     bool pruned = false;             // self-aware pruning engaged
     dollars search_power_cost = 0.0; // $ cost of the search's own power draw
-                                     // (scales with active worker-seconds)
-    std::size_t eval_cache_hits = 0;   // memoized evaluations reused
-    std::size_t eval_cache_misses = 0; // evaluations that missed the memo
-    // Delta-evaluation accounting for this find() (see evaluator.h): LQN
-    // sub-solves actually performed vs. reused from the per-app cache.
+    // Configuration-level accounting under the names the journal and the
+    // benchmark read: no whole-configuration cache exists, so hits stay 0
+    // and misses count the configurations evaluated.
+    std::size_t eval_cache_hits = 0;
+    std::size_t eval_cache_misses = 0;
+    // LQN sub-solves actually performed vs. reused from the per-app cache
+    // (see evaluator.h) during this find().
     std::size_t eval_app_solves = 0;
     std::size_t eval_app_cache_hits = 0;
     std::size_t eval_app_cache_misses = 0;
@@ -137,26 +135,24 @@ struct search_result {
 
 class adaptation_search {
 public:
-    // Builds the evaluation engine `options.evaluation` asks for (serial by
-    // default, thread pool for threads > 1) and routes every steady-state
-    // utility computation through it.
+    // Builds its own evaluation engine and routes every steady-state utility
+    // computation through it.
     adaptation_search(const cluster::cluster_model& model, utility_model utility,
                       cost::cost_table costs, search_options options = {});
-    // Injects a caller-owned evaluator (shared memo across components, or a
-    // test double); `options.evaluation` is ignored in this form.
+    // Shares a caller-owned engine (one sub-solve cache across components).
     adaptation_search(const cluster::cluster_model& model, utility_model utility,
                       cost::cost_table costs, search_options options,
-                      std::shared_ptr<utility_evaluator> evaluator);
+                      std::shared_ptr<serial_evaluator> evaluator);
 
     [[nodiscard]] const search_options& options() const { return options_; }
     // Runtime budget update (the global coordinator redistributes pod power
     // budgets each interval); does not rebuild the evaluation engine, so the
-    // memo and app cache survive. Must be > 0 (infinity = uncapped).
+    // sub-solve cache survives. Must be > 0 (infinity = uncapped).
     void set_power_cap(watts cap);
-    [[nodiscard]] utility_evaluator& evaluator() const { return *evaluator_; }
+    [[nodiscard]] serial_evaluator& evaluator() const { return *evaluator_; }
     // The engine itself, for building sibling searches (e.g. the degraded
-    // ladder's greedy rung) that share this search's memo and app cache.
-    [[nodiscard]] const std::shared_ptr<utility_evaluator>& shared_evaluator() const {
+    // ladder's greedy rung) that share this search's sub-solve cache.
+    [[nodiscard]] const std::shared_ptr<serial_evaluator>& shared_evaluator() const {
         return evaluator_;
     }
 
@@ -178,7 +174,7 @@ private:
     utility_model utility_;
     cost::cost_table costs_;
     search_options options_;
-    std::shared_ptr<utility_evaluator> evaluator_;
+    std::shared_ptr<serial_evaluator> evaluator_;
     perf_pwr_optimizer perf_pwr_;
     // Disabled one-branch no-ops unless options_.sink carries a registry.
     obs::counter obs_expansions_;

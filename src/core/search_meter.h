@@ -10,21 +10,8 @@
 // expansion so tests and benches replay exactly. The model meter's default
 // per-expansion cost is calibrated so search durations land in the paper's
 // regime (seconds for realistic searches, tens of seconds for the naive
-// algorithm on 4-app scenarios — Fig. 10b / Table I).
-//
-// Parallel evaluation changes what "cost" means: elapsed wall time is metered
-// once, but the power self-cost scales with *active worker-seconds* — four
-// workers solving LQNs for one second burn four worker-seconds of search
-// power. `charge(evaluations, workers)` is the batched accounting path:
-//
-//  * wall_clock_meter — elapsed() is real time; active_seconds() scales it by
-//    the mean evaluation concurrency the charges recorded, so the power
-//    self-cost reflects every busy core, not just the calendar.
-//  * model_clock_meter — advances one tick per evaluation regardless of
-//    `workers`, so decision logic (self-aware pruning, hard stops) replays
-//    identically whether a serial or a parallel evaluator produced the
-//    numbers. Parallelism speeds up real CPU time; the model clock
-//    deliberately prices the *work*, not the calendar.
+// algorithm on 4-app scenarios — Fig. 10b / Table I). The search evaluates on
+// one thread, so its power self-cost is search_power() over elapsed().
 #pragma once
 
 #include <chrono>
@@ -40,18 +27,14 @@ public:
 
     // Called when a search starts; resets elapsed time.
     virtual void begin() = 0;
-    // A batch of `evaluations` child evaluations executed concurrently on
-    // `workers` active workers (`workers` ≥ 1; 1 is the serial path).
+    // `evaluations` child evaluations (cost lookup + utility estimate). The
+    // search always passes `workers` = 1; meters may ignore it.
     virtual void charge(std::size_t evaluations, std::size_t workers) = 0;
-    // One serial child evaluation (cost lookup + utility estimate).
+    // One child evaluation.
     void on_expansion() { charge(1, 1); }
     // Time spent searching since begin().
     [[nodiscard]] virtual seconds elapsed() const = 0;
-    // Active worker-seconds since begin() — the base the search's power
-    // self-cost is charged against. Equals elapsed() for serial evaluation;
-    // up to `workers`× larger under parallel evaluation.
-    [[nodiscard]] virtual seconds active_seconds() const { return elapsed(); }
-    // Extra power one busy worker draws while searching. The paper's
+    // Extra power the controller host draws while searching. The paper's
     // Fig. 10a measures up to 12 % over a 60 W idle host ≈ 7 W.
     [[nodiscard]] virtual watts search_power() const = 0;
     // Which time model produced the numbers — the search profiler records it
@@ -65,20 +48,14 @@ public:
     explicit wall_clock_meter(watts search_power = 7.2);
 
     void begin() override;
-    void charge(std::size_t evaluations, std::size_t workers) override;
+    void charge(std::size_t /*evaluations*/, std::size_t /*workers*/) override {}
     [[nodiscard]] seconds elapsed() const override;
-    [[nodiscard]] seconds active_seconds() const override;
     [[nodiscard]] watts search_power() const override { return power_; }
     [[nodiscard]] const char* kind() const override { return "wall_clock"; }
 
 private:
     watts power_;
     std::chrono::steady_clock::time_point start_{};
-    // Concurrency model: evaluation dominates search time, so active time is
-    // elapsed time scaled by (evaluations charged / serialized wall slots),
-    // where a charge of n evaluations on w workers occupies ⌈n/w⌉ slots.
-    double evaluations_ = 0.0;
-    double wall_slots_ = 0.0;
 };
 
 class model_clock_meter final : public search_meter {

@@ -25,8 +25,12 @@ cost_entry cost_table::lookup(cluster::action_kind kind, std::size_t tier,
     auto it = samples_.find({kind, tier});
     if (it == samples_.end() || it->second.empty()) {
         // Tier-specific data missing: fall back to the tier-0 table for the
-        // same action kind (host power and CPU tuning live there anyway).
-        it = samples_.find({kind, std::size_t{0}});
+        // same action kind (host power and CPU tuning live there anyway), or
+        // failing that to the lowest tier measured for it. A measured
+        // campaign skips add_replica on fixed-size tiers, yet a host crash
+        // can still force re-adding such a tier's lost replica.
+        it = samples_.lower_bound({kind, std::size_t{0}});
+        if (it != samples_.end() && it->first.first != kind) it = samples_.end();
     }
     MISTRAL_CHECK_MSG(it != samples_.end() && !it->second.empty(),
                       "no cost measurements for " << cluster::to_string(kind)

@@ -43,7 +43,9 @@ public:
     [[nodiscard]] bool has(cluster::action_kind kind, std::size_t tier) const;
 
     // The paper's runtime rule: pick the measured workload closest to
-    // `workload`, return the mean of its samples. Requires has(kind, tier).
+    // `workload`, return the mean of its samples. A tier without samples
+    // falls back to tier 0, then to the lowest tier sampled for `kind`;
+    // throws invariant_error when `kind` has no samples at all.
     [[nodiscard]] cost_entry lookup(cluster::action_kind kind, std::size_t tier,
                                     req_per_sec workload) const;
 

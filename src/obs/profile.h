@@ -4,8 +4,8 @@
 // is attached (and skips all of it — including the per-depth vectors — when
 // observability is off). Timing comes from the search meter, so under the
 // deterministic model-clock meter a profile replays bit-identically across
-// runs and thread counts: the per-depth "time" is modeled search cost, not
-// wall clock, which is exactly what makes traces comparable in CI.
+// runs: the per-depth "time" is modeled search cost, not wall clock, which is
+// exactly what makes traces comparable in CI.
 //
 // The schema (event type "search") is part of the journal's stable surface;
 // see DESIGN.md §10.
@@ -23,13 +23,15 @@ struct search_profile {
     double control_window = 0.0;     // CW the search optimized over (s)
     double budget = 0.0;             // UH handed to the self-aware meter ($)
     double duration = 0.0;           // meter-elapsed search time (s)
-    double active_seconds = 0.0;     // busy worker-seconds (power base)
+    double active_seconds = 0.0;     // power base; equals duration (one thread)
     double power_cost = 0.0;         // $ the search's own power drew
     std::int64_t expansions = 0;     // vertices expanded
     std::int64_t generated = 0;      // children generated
     bool pruned = false;             // self-aware pruning engaged
-    std::int64_t eval_hits = 0;      // memoized evaluations reused
-    std::int64_t eval_misses = 0;    // LQN solves actually paid for
+    // Configuration evaluations: no whole-configuration cache exists, so hits
+    // stay 0 and misses count every configuration evaluated.
+    std::int64_t eval_hits = 0;
+    std::int64_t eval_misses = 0;
     std::string meter;               // "model_clock" / "wall_clock" / custom
     // Index = vertex depth (actions on the path from the root).
     std::vector<double> depth_expansions;  // expansions per depth

@@ -9,6 +9,7 @@
 
 #include "apps/rubis.h"
 #include "cluster/action.h"
+#include "sim/cost_campaign.h"
 
 namespace mistral::core {
 namespace {
@@ -263,6 +264,55 @@ TEST_F(ControllerTest, StructuralRepairStillRunsWhileHolding) {
     EXPECT_TRUE(d.repair);
     EXPECT_FALSE(d.actions.empty());
     EXPECT_EQ(ctl.mode(), control_mode::hold);  // repair does not promote
+}
+
+// A measured campaign table has no add_replica sample for the fixed-size web
+// tier. When a host crash takes a web replica, the repair re-adds it; if that
+// add is aborted, the next step prices the failed action for the wasted-
+// adaptation ledger, which must fall back to another tier's add_replica
+// samples instead of throwing, and repair again.
+TEST_F(ControllerTest, CampaignTableRepairsAWebReplicaLostToAHostCrash) {
+    sim::campaign_options copts;
+    copts.workloads = {25.0, 50.0};
+    copts.trials = 1;
+    const auto table =
+        sim::run_cost_campaign(apps::rubis_browsing("campaign"), copts);
+    ASSERT_FALSE(table.has(cluster::action_kind::add_replica, 0));
+    mistral_controller ctl(model, table, {});
+    const auto cfg = base();
+    (void)ctl.step({0.0, {50.0, 50.0}, cfg, 0.0});
+
+    // base() puts app 0's web and database VMs on host 0; crash it.
+    const host_id down{0};
+    const vm_id web = model.tier_vms(app_id{0}, 0)[0];
+    auto crashed = cfg;
+    for (const vm_id vm : crashed.vms_on(down)) crashed.undeploy(vm);
+    crashed.set_host_failed(down, true);
+    ASSERT_FALSE(cluster::structurally_valid(model, crashed));
+    decision_input in{120.0, {50.0, 50.0}, crashed, 1.0};
+    in.hosts_failed = {down.value};
+    const auto repair = ctl.step(in);
+    ASSERT_TRUE(repair.repair);
+    std::vector<cluster::action> web_adds;
+    for (const auto& a : repair.actions) {
+        const auto* add = std::get_if<cluster::add_replica>(&a);
+        if (add != nullptr && add->vm == web) web_adds.push_back(a);
+    }
+    ASSERT_EQ(web_adds.size(), 1u);
+
+    // The re-add was aborted: the web VM is still down.
+    decision_input retry{240.0, {50.0, 50.0}, crashed, 1.0};
+    retry.failed = web_adds;
+    controller_decision d;
+    ASSERT_NO_THROW(d = ctl.step(retry));
+    EXPECT_TRUE(d.repair);
+    auto after = crashed;
+    for (const auto& a : d.actions) {
+        ASSERT_TRUE(cluster::applicable(model, after, a)) << cluster::to_string(model, a);
+        after = cluster::apply(model, after, a);
+    }
+    EXPECT_TRUE(cluster::structurally_valid(model, after));
+    EXPECT_GT(ctl.reconciliation().wasted_adaptation_time, 0.0);
 }
 
 TEST_F(ControllerTest, BlownSearchDeadlineDemotesNextStepToGreedy) {

@@ -59,15 +59,15 @@ configuration start_config(const cluster::cluster_model& m) {
     return c;
 }
 
-// The paper's cost table without any add_replica measurement for the web
-// tier (tier 0): looking one up must throw, and tier 0 is also every other
-// tier's fallback, so only tiers with their own entries resolve.
-cost::cost_table table_without_web_add() {
+// The paper's cost table without any add_replica measurement on any tier:
+// looking one up must throw, while every other kind still resolves. (A table
+// missing only some tiers of a kind falls back to another tier of it.)
+cost::cost_table table_without_add_replica() {
     cost::cost_table out;
     cost::cost_table::paper_defaults().for_each_sample(
         [&](cluster::action_kind kind, std::size_t tier, req_per_sec w,
             const cost::cost_entry& e) {
-            if (kind == cluster::action_kind::add_replica && tier == 0) return;
+            if (kind == cluster::action_kind::add_replica) return;
             out.add_measurement(kind, tier, w, e);
         });
     return out;
@@ -161,7 +161,7 @@ std::size_t run_walk(const walk_setup& w, std::uint64_t seed, int steps,
 
     std::vector<req_per_sec> rates;
     for (std::size_t a = 0; a < apps; ++a) rates.push_back(r.uniform(5.0, 110.0));
-    const auto table = w.cost_gap ? table_without_web_add()
+    const auto table = w.cost_gap ? table_without_add_replica()
                                   : cost::cost_table::paper_defaults();
     decision_costs costs(model, table, rates);
 
@@ -247,26 +247,28 @@ TEST(Drafting, LensesKeepIncrementalCandidacyExact) {
     }
 }
 
-// A missing (add_replica, web) measurement throws at the first action that
-// needs it and at every later one; entries that resolve are unaffected.
+// A kind without any measurement throws at the first action that needs it
+// and at every later one; entries of other kinds are unaffected.
 TEST(Drafting, MissingCostEntryThrowsAtEveryUse) {
     const auto model = make_model(4, 2, /*web_replicas=*/2);
-    const auto table = table_without_web_add();
+    const auto table = table_without_add_replica();
     const std::vector<req_per_sec> rates = {40.0, 70.0};
     decision_costs costs(model, table, rates);
     const action add_web = cluster::add_replica{
         model.tier_vms(app_id{0}, 0).back(), host_id{2}, 0.2};
     const action add_app = cluster::add_replica{
         model.tier_vms(app_id{1}, 1).back(), host_id{2}, 0.2};
+    const action move_app = cluster::migrate{model.tier_vms(app_id{1}, 1)[0], host_id{2}};
     EXPECT_THROW((void)table.lookup(model, add_web, rates), invariant_error);
     EXPECT_THROW((void)costs.lookup(add_web), invariant_error);
     EXPECT_THROW((void)costs.lookup(add_web), invariant_error);
+    EXPECT_THROW((void)costs.lookup(add_app), invariant_error);
     EXPECT_TRUE(
-        same_entry(costs.lookup(add_app), table.lookup(model, add_app, rates)));
+        same_entry(costs.lookup(move_app), table.lookup(model, move_app, rates)));
     EXPECT_THROW((void)costs.lookup(add_web), invariant_error);
 
-    // Walks with the gap table on a model whose web tier replicates meet
-    // that throw at every step where the second web replica is dormant.
+    // Walks with the gap table meet that throw at every step where some
+    // replica is dormant.
     std::size_t missing = 0;
     for (const std::uint64_t seed : {7ull, 8ull}) {
         (void)run_walk({.hosts = 4, .cost_gap = true}, seed, 20, &missing);

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <string>
 
 #include "apps/rubis.h"
+#include "cluster/action.h"
+#include "common/rng.h"
 #include "core/experiment.h"
 #include "core/search.h"
 #include "core/search_meter.h"
@@ -38,224 +42,57 @@ struct fixture : ::testing::Test {
 
 using EvaluatorTest = fixture;
 
-// ---- eval_memo -------------------------------------------------------------
-
-TEST_F(EvaluatorTest, MemoCountsHitsAndMisses) {
-    serial_evaluator ev(model, utility_model{});
-    ev.begin_decision({40.0, 40.0});
-    const auto a = ev.evaluate(base(0.4));
-    const auto b = ev.evaluate(base(0.4));  // identical configuration
-    EXPECT_EQ(ev.stats().cache_misses, 1u);
-    EXPECT_EQ(ev.stats().cache_hits, 1u);
-    EXPECT_EQ(ev.stats().evaluations, 1u);
-    EXPECT_EQ(a.rate, b.rate);
-    EXPECT_EQ(a.response_times, b.response_times);
-}
-
-TEST_F(EvaluatorTest, MemoEvictsAtCapacity) {
-    eval_memo memo(2);
-    memo.bind_rates({40.0, 40.0}, 0.0);
-    memo.insert(base(0.3), {});
-    memo.insert(base(0.4), {});
-    EXPECT_EQ(memo.size(), 2u);
-    EXPECT_EQ(memo.evictions(), 0u);
-    memo.insert(base(0.5), {});
-    EXPECT_EQ(memo.size(), 2u);
-    EXPECT_EQ(memo.evictions(), 1u);
-    // Least-recently-used entry (0.3 caps) was the one dropped.
-    EXPECT_EQ(memo.find(base(0.3)), nullptr);
-    EXPECT_NE(memo.find(base(0.4)), nullptr);
-    EXPECT_NE(memo.find(base(0.5)), nullptr);
-}
-
-TEST_F(EvaluatorTest, MemoLruTouchProtectsFromEviction) {
-    eval_memo memo(2);
-    memo.bind_rates({40.0, 40.0}, 0.0);
-    memo.insert(base(0.3), {});
-    memo.insert(base(0.4), {});
-    ASSERT_NE(memo.find(base(0.3)), nullptr);  // touch: 0.3 becomes MRU
-    memo.insert(base(0.5), {});                // evicts 0.4, not 0.3
-    EXPECT_NE(memo.find(base(0.3)), nullptr);
-    EXPECT_EQ(memo.find(base(0.4)), nullptr);
-}
-
-TEST_F(EvaluatorTest, QuantizationCollapsesNearbyRates) {
-    // One grid cell: rates within the same cell share a key…
-    EXPECT_EQ(eval_memo::quantize({10.2, 19.9}, 0.5),
-              eval_memo::quantize({10.0, 20.0}, 0.5));
-    // …and different cells do not.
-    EXPECT_NE(eval_memo::quantize({10.0, 20.0}, 0.5),
-              eval_memo::quantize({11.0, 20.0}, 0.5));
-    // Exact mode: any bit-level difference is a different key.
-    EXPECT_NE(eval_memo::quantize({10.0, 20.0}, 0.0),
-              eval_memo::quantize({10.0 + 1e-12, 20.0}, 0.0));
-    EXPECT_EQ(eval_memo::quantize({10.0, 20.0}, 0.0),
-              eval_memo::quantize({10.0, 20.0}, 0.0));
-}
-
-TEST_F(EvaluatorTest, RebindingRatesClearsExactKeyedMemo) {
-    serial_evaluator ev(model, utility_model{});
-    ev.begin_decision({40.0, 40.0});
-    (void)ev.evaluate(base());
-    // Same rates: the memo survives, so this is a hit.
-    ev.begin_decision({40.0, 40.0});
-    (void)ev.evaluate(base());
-    EXPECT_EQ(ev.stats().cache_hits, 1u);
-    // Moved rates with quantum 0: the store is invalidated.
-    ev.begin_decision({41.0, 40.0});
-    (void)ev.evaluate(base());
-    EXPECT_EQ(ev.stats().cache_misses, 2u);
-}
-
-TEST_F(EvaluatorTest, QuantumKeepsMemoAcrossSmallRateMoves) {
-    evaluation_options opts;
-    opts.with_rate_quantum(2.0);
-    serial_evaluator ev(model, utility_model{}, {}, opts);
-    ev.begin_decision({40.0, 40.0});
-    (void)ev.evaluate(base());
-    ev.begin_decision({40.5, 39.8});  // same grid cell ⇒ memo survives
-    (void)ev.evaluate(base());
-    EXPECT_EQ(ev.stats().cache_hits, 1u);
-    EXPECT_EQ(ev.stats().cache_misses, 1u);
-}
-
-TEST_F(EvaluatorTest, OptionsAreValidated) {
-    EXPECT_THROW(serial_evaluator(model, utility_model{}, {},
-                                  evaluation_options{}.with_threads(0)),
-                 invariant_error);
-    EXPECT_THROW(serial_evaluator(model, utility_model{}, {},
-                                  evaluation_options{}.with_memo_capacity(0)),
-                 invariant_error);
-    EXPECT_THROW(serial_evaluator(model, utility_model{}, {},
-                                  evaluation_options{}.with_rate_quantum(-1.0)),
-                 invariant_error);
-    EXPECT_THROW(eval_memo(0), invariant_error);
-}
+// Exposes the whole-solve references the cached paths must match.
+struct reference_probe : serial_evaluator {
+    using serial_evaluator::serial_evaluator;
+    using serial_evaluator::compute;
+    using serial_evaluator::compute_isolated;
+};
 
 TEST_F(EvaluatorTest, EvaluateRequiresBoundDecision) {
     serial_evaluator ev(model, utility_model{});
     EXPECT_THROW((void)ev.evaluate(base()), invariant_error);
 }
 
-// ---- batch semantics -------------------------------------------------------
-
-TEST_F(EvaluatorTest, BatchMatchesSequentialAndDedupes) {
-    serial_evaluator serial(model, utility_model{});
-    parallel_evaluator par(model, utility_model{}, {},
-                           evaluation_options{}.with_threads(4));
-    serial.begin_decision({40.0, 40.0});
-    par.begin_decision({40.0, 40.0});
-
-    const std::vector<cluster::configuration> batch = {base(0.4), base(0.5),
-                                                       base(0.4), base(0.6)};
-    const auto s = serial.evaluate_batch(batch);
-    const auto p = par.evaluate_batch(batch);
-    ASSERT_EQ(s.size(), batch.size());
-    ASSERT_EQ(p.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(s[i].rate, p[i].rate) << i;
-        EXPECT_EQ(s[i].power, p[i].power) << i;
-        EXPECT_EQ(s[i].response_times, p[i].response_times) << i;
-    }
-    // The duplicate is solved once and counted as a hit, in both.
-    EXPECT_EQ(serial.stats().evaluations, 3u);
-    EXPECT_EQ(par.stats().evaluations, 3u);
-    EXPECT_EQ(serial.stats().cache_hits, par.stats().cache_hits);
-    EXPECT_EQ(serial.stats().cache_misses, par.stats().cache_misses);
-    EXPECT_EQ(par.parallelism(), 4u);
-    EXPECT_EQ(serial.parallelism(), 1u);
+TEST_F(EvaluatorTest, BeginDecisionRejectsNegativeAndNaNRates) {
+    serial_evaluator ev(model, utility_model{});
+    EXPECT_THROW(ev.begin_decision({-1.0, 40.0}), invariant_error);
+    EXPECT_THROW(ev.begin_decision({40.0, -0.5}), invariant_error);
+    EXPECT_THROW(ev.begin_decision({std::numeric_limits<double>::quiet_NaN(), 40.0}),
+                 invariant_error);
+    EXPECT_THROW(ev.begin_decision({std::numeric_limits<double>::infinity(), 40.0}),
+                 invariant_error);
+    // Zero is a legitimate rate (an idle application).
+    EXPECT_NO_THROW(ev.begin_decision({0.0, 40.0}));
+    EXPECT_NO_THROW((void)ev.evaluate(base()));
 }
 
-TEST_F(EvaluatorTest, IsolatedBatchMatchesSequential) {
-    serial_evaluator serial(model, utility_model{});
-    parallel_evaluator par(model, utility_model{}, {},
-                           evaluation_options{}.with_threads(4));
-    serial.begin_decision({40.0, 40.0});
-    par.begin_decision({40.0, 40.0});
-
-    std::vector<app_sizing> sizings;
-    for (const fraction cap : {0.5, 0.6}) {
-        app_sizing s(2);
-        for (auto& app : s) app.assign(3, {1, cap});
-        sizings.push_back(std::move(s));
-    }
-    const auto one = serial.evaluate_isolated(sizings[0]);
-    const auto two = serial.evaluate_isolated(sizings[1]);
-    const auto batch = par.evaluate_isolated_batch(sizings);
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_EQ(batch[0].perf_rate, one.perf_rate);
-    EXPECT_EQ(batch[0].response_times, one.response_times);
-    EXPECT_EQ(batch[1].perf_rate, two.perf_rate);
-    EXPECT_EQ(batch[1].response_times, two.response_times);
-    // Both engines price the same number of solves.
-    EXPECT_EQ(serial.stats().evaluations, par.stats().evaluations);
+// The sub-solve cache is a plain LRU: at capacity the least recently used
+// entry goes, and a lookup counts as a use.
+TEST_F(EvaluatorTest, AppCacheEvictsLeastRecentlyUsedAtCapacity) {
+    EXPECT_THROW(app_solve_cache(0), invariant_error);
+    const auto sig = [](std::uint64_t k) { return app_signature{{k}}; };
+    app_solve_cache cache(2);
+    cache.insert(sig(1), {});
+    cache.insert(sig(2), {});
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.evictions(), 0u);
+    ASSERT_NE(cache.find(sig(1)), nullptr);  // touch: 1 becomes most recent
+    cache.insert(sig(3), {});                // evicts 2, not 1
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_NE(cache.find(sig(1)), nullptr);
+    EXPECT_EQ(cache.find(sig(2)), nullptr);
+    EXPECT_NE(cache.find(sig(3)), nullptr);
+    EXPECT_EQ(cache.hits(), 3u);
+    EXPECT_EQ(cache.misses(), 1u);
 }
-
-// The pool behind the parallel batches: every index runs exactly once, at
-// any batch size, so each result lands in its own slot and matches the
-// serial engine's.
-TEST_F(EvaluatorTest, ParallelForRunsEveryIndexExactlyOnce) {
-    serial_evaluator serial(model, utility_model{});
-    parallel_evaluator par(model, utility_model{}, {},
-                           evaluation_options{}.with_threads(4));
-    serial.begin_decision({40.0, 40.0});
-    par.begin_decision({40.0, 40.0});
-    std::size_t total = 0;
-    for (const std::size_t count : {0u, 1u, 3u, 257u}) {
-        // Distinct sizings, so a skipped or repeated index shows as a
-        // mismatch in its slot.
-        std::vector<app_sizing> sizings;
-        for (std::size_t i = 0; i < count; ++i) {
-            app_sizing s(2);
-            for (auto& app : s) app.assign(3, {1, 0.5});
-            s[i % 2][i % 3].cap = 0.2 + 0.6 * static_cast<double>(i) / 257.0;
-            sizings.push_back(std::move(s));
-        }
-        const auto batch = par.evaluate_isolated_batch(sizings);
-        ASSERT_EQ(batch.size(), count);
-        for (std::size_t i = 0; i < count; ++i) {
-            const auto one = serial.evaluate_isolated(sizings[i]);
-            EXPECT_EQ(batch[i].response_times, one.response_times)
-                << "count " << count << " index " << i;
-            EXPECT_EQ(batch[i].perf_rate, one.perf_rate);
-        }
-        total += count;
-        EXPECT_EQ(par.stats().evaluations, total);
-    }
-}
-
-TEST_F(EvaluatorTest, ParallelForPropagatesExceptions) {
-    parallel_evaluator par(model, utility_model{}, {},
-                           evaluation_options{}.with_threads(4));
-    par.begin_decision({40.0, 40.0});
-    std::vector<app_sizing> sizings(64);
-    for (auto& s : sizings) {
-        s.resize(2);
-        for (auto& app : s) app.assign(3, {1, 0.5});
-    }
-    sizings[13][1][2].replicas = 0;  // a tier without replicas fails validation
-    EXPECT_THROW((void)par.evaluate_isolated_batch(sizings), invariant_error);
-    // The pool survives a throwing job.
-    const std::vector<cluster::configuration> batch = {base(0.3), base(0.4),
-                                                       base(0.5)};
-    const auto out = par.evaluate_batch(batch);
-    ASSERT_EQ(out.size(), batch.size());
-    for (const auto& u : out) EXPECT_EQ(u.response_times.size(), 2u);
-}
-
-// ---- delta evaluation ------------------------------------------------------
-
-// Exposes the whole-solve reference of the isolated view.
-struct isolated_probe : serial_evaluator {
-    using serial_evaluator::serial_evaluator;
-    using serial_evaluator::compute_isolated;
-};
 
 // Perf-Pwr steps caps down by repeated subtraction, so 0.8 − 3·0.05 is a
 // few ulps off 0.65 and the two must not share a cache entry. Each is run
 // twice, so both the solving and the reusing path meet the reference.
 TEST_F(EvaluatorTest, IsolatedReuseKeysCapsByExactBits) {
-    isolated_probe ev(model, utility_model{});
+    reference_probe ev(model, utility_model{});
     ev.begin_decision({60.0, 60.0});
     fraction stepped = 0.8;
     for (int i = 0; i < 3; ++i) stepped -= 0.05;
@@ -286,18 +123,6 @@ TEST_F(EvaluatorTest, IsolatedReuseKeysCapsByExactBits) {
     EXPECT_EQ(ev.stats().app_cache_hits + ev.stats().app_cache_misses, 0u);
 }
 
-TEST_F(EvaluatorTest, IsolatedReuseIsOffWithDeltaEvalOff) {
-    serial_evaluator ev(model, utility_model{}, {},
-                        evaluation_options{}.with_delta_eval(false));
-    ev.begin_decision({40.0, 40.0});
-    app_sizing s(2);
-    for (auto& app : s) app.assign(3, {1, 0.5});
-    (void)ev.evaluate_isolated(s);
-    (void)ev.evaluate_isolated(s);
-    EXPECT_EQ(ev.stats().isolated_solves + ev.stats().isolated_hits, 0u);
-    EXPECT_EQ(ev.stats().evaluations, 2u);
-}
-
 // Placed signatures store caps as milli counts, which is exact only on the
 // configuration's 1e-3 grid; an off-grid cap is refused, and isolated
 // signatures never alias placed ones.
@@ -311,59 +136,161 @@ TEST_F(EvaluatorTest, SignaturesRejectOffGridCapsAndKeepKindsApart) {
         dep.tiers[t].replicas.push_back({t, 0.65});
     }
     const std::vector<double> inflation(spec.tier_count(), 1.0);
-    EXPECT_NO_THROW((void)make_app_signature(0, 0, dep, inflation));
+    EXPECT_NO_THROW((void)make_app_signature(0, 40.0, dep, inflation));
     fraction stepped = 0.8;
     for (int i = 0; i < 3; ++i) stepped -= 0.05;
     dep.tiers[1].replicas[0].cpu_cap = stepped;
-    EXPECT_THROW((void)make_app_signature(0, 0, dep, inflation), invariant_error);
+    EXPECT_THROW((void)make_app_signature(0, 40.0, dep, inflation), invariant_error);
 
     const std::vector<tier_sizing> tiers(spec.tier_count(), {1, 0.65});
     const auto isolated = make_isolated_signature(0, 40.0, tiers);
     dep.tiers[1].replicas[0].cpu_cap = 0.65;
     EXPECT_NE(isolated.words.front(),
-              make_app_signature(0, 0, dep, inflation).words.front());
+              make_app_signature(0, 40.0, dep, inflation).words.front());
     // Exact cap bits: the stepped cap keys apart from 0.65.
     std::vector<tier_sizing> stepped_tiers = tiers;
     stepped_tiers[0].cap = stepped;
     EXPECT_NE(make_isolated_signature(0, 40.0, stepped_tiers), isolated);
 }
 
-// Delta evaluation must be invisible in the numbers: every field of every
-// steady_utility bit-matches the full whole-configuration solve.
-TEST_F(EvaluatorTest, DeltaEvaluationIsBitIdenticalToFull) {
-    serial_evaluator delta(model, utility_model{}, {},
-                           evaluation_options{}.with_delta_eval(true));
-    serial_evaluator full(model, utility_model{}, {},
-                          evaluation_options{}.with_delta_eval(false));
-    delta.begin_decision({40.0, 40.0});
-    full.begin_decision({40.0, 40.0});
+// ---- the reference check ---------------------------------------------------
 
-    std::vector<cluster::configuration> configs = {base(0.3), base(0.4), base(0.6)};
-    {
-        // A neighbor differing in one app only — the reuse case.
-        auto c = base(0.4);
-        c.set_cap(model.tier_vms(app_id{0}, 0)[0], 0.5);
-        configs.push_back(c);
-        // And a migration within the same app.
-        auto d = base(0.4);
-        d.deploy(model.tier_vms(app_id{1}, 2)[0], host_id{3}, 0.4);
-        configs.push_back(d);
+void expect_same(const steady_utility& a, const steady_utility& b,
+                 const std::string& where) {
+    EXPECT_EQ(a.rate, b.rate) << where;
+    EXPECT_EQ(a.perf_rate, b.perf_rate) << where;
+    EXPECT_EQ(a.power_rate, b.power_rate) << where;
+    EXPECT_EQ(a.power, b.power) << where;
+    EXPECT_EQ(a.response_times, b.response_times) << where;
+    EXPECT_EQ(a.candidate, b.candidate) << where;
+    EXPECT_EQ(a.meets_targets, b.meets_targets) << where;
+}
+
+std::vector<req_per_sec> draw_rates(rng& r, std::size_t apps) {
+    std::vector<req_per_sec> rates;
+    for (std::size_t a = 0; a < apps; ++a) rates.push_back(r.uniform(5.0, 100.0));
+    return rates;
+}
+
+// Evacuates the last host onto the others and marks it failed.
+cluster::configuration fail_last_host(const cluster::cluster_model& m,
+                                      cluster::configuration c) {
+    const host_id down{static_cast<std::int32_t>(m.host_count() - 1)};
+    for (const vm_id vm : c.vms_on(down)) {
+        bool moved = false;
+        for (std::size_t h = 0; h + 1 < m.host_count() && !moved; ++h) {
+            const cluster::action a =
+                cluster::migrate{vm, host_id{static_cast<std::int32_t>(h)}};
+            if (cluster::applicable(m, c, a)) {
+                c = cluster::apply(m, c, a);
+                moved = true;
+            }
+        }
+        EXPECT_TRUE(moved) << "no room for VM " << vm.value;
     }
-    for (const auto& c : configs) {
-        const auto a = delta.evaluate(c);
-        const auto b = full.evaluate(c);
-        EXPECT_EQ(a.rate, b.rate);
-        EXPECT_EQ(a.perf_rate, b.perf_rate);
-        EXPECT_EQ(a.power_rate, b.power_rate);
-        EXPECT_EQ(a.power, b.power);
-        EXPECT_EQ(a.response_times, b.response_times);
-        EXPECT_EQ(a.candidate, b.candidate);
-        EXPECT_EQ(a.meets_targets, b.meets_targets);
+    c.set_host_failed(down, true);
+    EXPECT_TRUE(cluster::structurally_valid(m, c));
+    return c;
+}
+
+// A seeded walk of enumerate_actions → apply, in the search's call order:
+// at every step the current configuration and then each child. Every
+// evaluate() must bit-equal the whole-configuration solve, whatever the
+// cache holds. Rates move every ten steps; the cache persists across them.
+void walk_placed(const cluster::cluster_model& m, cluster::configuration c,
+                 bool host_power, std::uint64_t seed, int steps) {
+    rng r(seed);
+    reference_probe ev(m, utility_model{});
+    cluster::action_menu menu;
+    menu.host_power = host_power;
+    for (int step = 0; step < steps; ++step) {
+        if (step % 10 == 0) ev.begin_decision(draw_rates(r, m.app_count()));
+        const std::string at = "seed " + std::to_string(seed) + " step " +
+                               std::to_string(step);
+        expect_same(ev.evaluate(c), ev.compute(c), at);
+        const auto acts = cluster::enumerate_actions(m, c, menu);
+        if (acts.empty()) break;
+        std::vector<cluster::configuration> children;
+        for (const auto& a : acts) {
+            children.push_back(cluster::apply(m, c, a));
+            expect_same(ev.evaluate(children.back()), ev.compute(children.back()),
+                        at + " " + cluster::to_string(m, a));
+        }
+        if (::testing::Test::HasFailure()) return;
+        c = std::move(children[r.uniform_index(children.size())]);
     }
-    // Reuse actually happened: the one-app neighbors re-solved only the
-    // touched app, while the full path paid app_count per configuration.
-    EXPECT_LT(delta.stats().app_solves, full.stats().app_solves);
-    EXPECT_GT(delta.stats().app_cache_hits, 0u);
+    // Reuse actually happened: the walk is not vacuous.
+    EXPECT_GT(ev.stats().app_cache_hits, 0u);
+}
+
+// The isolated view along Perf-Pwr's own moves: from maximum sizing, each
+// step scores the sizing and every single reduction (one cap_step off a
+// cap, or one replica), then takes a random one. Caps therefore carry the
+// ulp drift of repeated subtraction, as they do in the optimizer.
+void walk_isolated(const cluster::cluster_model& m, std::uint64_t seed, int steps) {
+    rng r(seed);
+    reference_probe ev(m, utility_model{});
+    ev.begin_decision(draw_rates(r, m.app_count()));
+    const fraction cap_step = m.limits().cpu_step;
+    app_sizing s(m.app_count());
+    for (std::size_t a = 0; a < m.app_count(); ++a) {
+        for (const auto& tier : m.app(app_id{static_cast<std::int32_t>(a)}).tiers()) {
+            s[a].push_back({tier.max_replicas, tier.max_cpu_cap});
+        }
+    }
+    for (int step = 0; step < steps; ++step) {
+        std::vector<app_sizing> candidates = {s};
+        for (std::size_t a = 0; a < m.app_count(); ++a) {
+            const auto& tiers = m.app(app_id{static_cast<std::int32_t>(a)}).tiers();
+            for (std::size_t t = 0; t < tiers.size(); ++t) {
+                if (s[a][t].cap - cap_step >= tiers[t].min_cpu_cap - 1e-9) {
+                    candidates.push_back(s);
+                    candidates.back()[a][t].cap -= cap_step;
+                }
+                if (s[a][t].replicas > tiers[t].min_replicas) {
+                    candidates.push_back(s);
+                    candidates.back()[a][t].replicas -= 1;
+                }
+            }
+        }
+        for (const auto& c : candidates) {
+            const auto cached = ev.evaluate_isolated(c);
+            const auto fresh = ev.compute_isolated(c);
+            EXPECT_EQ(cached.perf_rate, fresh.perf_rate) << "step " << step;
+            EXPECT_EQ(cached.response_times, fresh.response_times) << "step " << step;
+            EXPECT_EQ(cached.meets_all_targets, fresh.meets_all_targets)
+                << "step " << step;
+        }
+        if (candidates.size() == 1 || ::testing::Test::HasFailure()) break;
+        s = candidates[1 + r.uniform_index(candidates.size() - 1)];
+    }
+    EXPECT_GT(ev.stats().isolated_hits, ev.stats().isolated_solves);
+}
+
+// Caching must be invisible in the numbers: along seeded walks on the
+// 4-host/2-app fixture and an 8-host/4-app scenario, with and without host
+// power actions and with an empty failed host, every evaluation bit-matches
+// the whole solve. Since every decision is a function of these values, every
+// decision is too.
+TEST_F(EvaluatorTest, DeltaEvaluationIsBitIdenticalToFull) {
+    scenario_options sopts;
+    sopts.host_count = 8;
+    sopts.app_count = 4;
+    const auto scn = make_rubis_scenario(sopts);
+    std::uint64_t seed = 1;
+    for (const bool host_power : {true, false}) {
+        for (const bool failed : {false, true}) {
+            walk_placed(model, failed ? fail_last_host(model, base()) : base(),
+                        host_power, seed++, 40);
+            walk_placed(scn.model,
+                        failed ? fail_last_host(scn.model, scn.initial) : scn.initial,
+                        host_power, seed++, 20);
+            ASSERT_FALSE(HasFailure())
+                << "host_power " << host_power << " failed " << failed;
+        }
+    }
+    walk_isolated(model, seed++, 40);
+    walk_isolated(scn.model, seed++, 40);
 }
 
 // The fixture places the two apps on disjoint hosts, so perturbing one app
@@ -383,8 +310,7 @@ TEST_F(EvaluatorTest, NeighborEvaluationResolvesOnlyTouchedApps) {
 }
 
 // Sub-solves persist across decisions: when the workload returns to a level
-// seen before, the memo (exact-keyed, cleared on the rate move) misses but
-// the app cache still holds that level's sub-solves.
+// seen before, the cache still holds that level's sub-solves.
 TEST_F(EvaluatorTest, AppCachePersistsAcrossDecisions) {
     serial_evaluator ev(model, utility_model{});
     ev.begin_decision({40.0, 40.0});
@@ -395,117 +321,28 @@ TEST_F(EvaluatorTest, AppCachePersistsAcrossDecisions) {
 
     ev.begin_decision({40.0, 40.0});  // back to the first level
     (void)ev.evaluate(base());
-    EXPECT_EQ(ev.stats().cache_misses, 3u);  // memo was invalidated…
-    EXPECT_EQ(ev.stats().app_solves, 4u);    // …but no new sub-solves
+    EXPECT_EQ(ev.stats().evaluations, 3u);
+    EXPECT_EQ(ev.stats().app_solves, 4u);  // no new sub-solves
     EXPECT_EQ(ev.stats().app_cache_hits, 2u);
 
-    ev.reset_memo();
+    ev.reset();
     ev.begin_decision({40.0, 40.0});
     (void)ev.evaluate(base());
-    EXPECT_EQ(ev.stats().app_solves, 2u);  // reset_memo cleared the app cache
+    EXPECT_EQ(ev.stats().app_solves, 2u);  // reset() cleared the cache
 }
 
-TEST_F(EvaluatorTest, DeltaOffChargesFullSolvesAndNeverProbesAppCache) {
-    serial_evaluator ev(model, utility_model{}, {},
-                        evaluation_options{}.with_delta_eval(false));
-    ev.begin_decision({40.0, 40.0});
-    (void)ev.evaluate(base(0.4));
-    (void)ev.evaluate(base(0.5));
-    EXPECT_EQ(ev.stats().app_solves, 4u);  // app_count per configuration
-    EXPECT_EQ(ev.stats().app_cache_hits, 0u);
-    EXPECT_EQ(ev.stats().app_cache_misses, 0u);
-}
-
-// Parallel delta batches: bit-identical values and identical sub-solve
-// accounting versus the serial delta path, duplicates included.
-TEST_F(EvaluatorTest, ParallelDeltaBatchMatchesSerial) {
-    serial_evaluator serial(model, utility_model{});
-    parallel_evaluator par(model, utility_model{}, {},
-                           evaluation_options{}.with_threads(4));
-    serial.begin_decision({40.0, 40.0});
-    par.begin_decision({40.0, 40.0});
-
-    std::vector<cluster::configuration> batch = {base(0.4), base(0.5), base(0.4)};
-    auto neighbor = base(0.4);
-    neighbor.set_cap(model.tier_vms(app_id{1}, 0)[0], 0.6);
-    batch.push_back(neighbor);
-
-    const auto s = serial.evaluate_batch(batch);
-    const auto p = par.evaluate_batch(batch);
-    ASSERT_EQ(s.size(), p.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(s[i].rate, p[i].rate) << i;
-        EXPECT_EQ(s[i].power, p[i].power) << i;
-        EXPECT_EQ(s[i].response_times, p[i].response_times) << i;
-    }
-    EXPECT_EQ(serial.stats().app_solves, par.stats().app_solves);
-    EXPECT_EQ(serial.stats().app_cache_hits, par.stats().app_cache_hits);
-    EXPECT_EQ(serial.stats().app_cache_misses, par.stats().app_cache_misses);
-    EXPECT_GT(par.stats().app_cache_hits, 0u);
-}
-
-TEST_F(EvaluatorTest, QuantizeRejectsNegativeAndNaNRates) {
-    EXPECT_THROW((void)eval_memo::quantize({-1.0}, 0.0), invariant_error);
-    EXPECT_THROW((void)eval_memo::quantize({40.0, -0.5}, 2.0), invariant_error);
-    EXPECT_THROW(
-        (void)eval_memo::quantize({std::numeric_limits<double>::quiet_NaN()}, 0.0),
-        invariant_error);
-    EXPECT_THROW(
-        (void)eval_memo::quantize({std::numeric_limits<double>::infinity()}, 1.0),
-        invariant_error);
-    // Zero is a legitimate rate (an idle application), in both key modes.
-    EXPECT_EQ(eval_memo::quantize({0.0}, 0.0).size(), 1u);
-    EXPECT_EQ(eval_memo::quantize({0.0}, 2.0).size(), 1u);
-    EXPECT_THROW(serial_evaluator(model, utility_model{}, {},
-                                  evaluation_options{}.with_app_cache_capacity(0)),
-                 invariant_error);
-}
-
-// ---- search determinism ----------------------------------------------------
-
-// The parallel evaluator must not change a single decision: same actions,
-// bit-identical expected utility, across scenarios and workload points.
-TEST_F(EvaluatorTest, ParallelSearchIsBitIdenticalToSerial) {
-    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-        const auto scn = make_rubis_scenario(
-            {.host_count = 8, .app_count = 4, .seed = seed});
-
-        search_options serial_opts;
-        search_options parallel_opts;
-        parallel_opts.evaluation.with_threads(4);
-        adaptation_search serial(scn.model, utility_model{},
-                                 cost::cost_table::paper_defaults(), serial_opts);
-        adaptation_search parallel(scn.model, utility_model{},
-                                   cost::cost_table::paper_defaults(),
-                                   parallel_opts);
-
-        for (const seconds t : {0.0, 1800.0, 3600.0}) {
-            std::vector<req_per_sec> rates;
-            for (const auto& tr : scn.traces) {
-                rates.push_back(tr.mean_rate(t, t + 120.0));
-            }
-            model_clock_meter m1, m2;
-            const auto rs = serial.find(scn.initial, rates, 600.0, 0.0, m1);
-            const auto rp = parallel.find(scn.initial, rates, 600.0, 0.0, m2);
-            EXPECT_EQ(rs.actions, rp.actions) << "seed " << seed << " t " << t;
-            EXPECT_EQ(rs.expected_utility, rp.expected_utility);
-            EXPECT_EQ(rs.ideal_utility, rp.ideal_utility);
-            EXPECT_EQ(rs.target, rp.target);
-            EXPECT_EQ(rs.stats.expansions, rp.stats.expansions);
-            EXPECT_EQ(rs.stats.generated, rp.stats.generated);
-            EXPECT_EQ(rs.stats.duration, rp.stats.duration);
-        }
-    }
-}
-
-// The search reports the engine's per-decision cache effectiveness.
+// The search reports the engine's per-decision work: every configuration it
+// evaluated, and how the sub-solves split between solved and reused.
 TEST_F(EvaluatorTest, SearchStatsExposeCacheCounters) {
     adaptation_search search(model, utility_model{},
                              cost::cost_table::paper_defaults(), {});
     model_clock_meter meter;
     const auto r = search.find(base(), {40.0, 40.0}, 600.0, 0.0, meter);
+    EXPECT_EQ(r.stats.eval_cache_hits, 0u);
+    EXPECT_EQ(r.stats.eval_cache_misses, search.evaluator().stats().evaluations);
     EXPECT_GT(r.stats.eval_cache_misses, 0u);
-    EXPECT_GT(r.stats.eval_cache_hits, 0u);
+    EXPECT_GT(r.stats.eval_app_solves, 0u);
+    EXPECT_GT(r.stats.eval_app_cache_hits, r.stats.eval_app_solves);
 }
 
 }  // namespace

@@ -50,6 +50,21 @@ TEST(CostTable, MissingTierFallsBackToTierZero) {
     EXPECT_DOUBLE_EQ(t.lookup(action_kind::increase_cpu, 2, 10.0).duration, 1.0);
 }
 
+// Without tier-0 samples a missing tier falls back to the lowest tier
+// measured for the same kind, never to another kind's samples; a kind with
+// no samples on any tier still throws.
+TEST(CostTable, MissingTierZeroFallsBackToLowestMeasuredTier) {
+    cost_table t;
+    t.add_measurement(action_kind::add_replica, 2, 10.0, {20.0, 0.0, 0.0, 0.5});
+    t.add_measurement(action_kind::add_replica, 1, 10.0, {12.0, 0.0, 0.0, 0.5});
+    t.add_measurement(action_kind::migrate, 0, 10.0, {99.0, 0.0, 0.0, 0.5});
+    EXPECT_DOUBLE_EQ(t.lookup(action_kind::add_replica, 0, 10.0).duration, 12.0);
+    EXPECT_DOUBLE_EQ(t.lookup(action_kind::add_replica, 3, 10.0).duration, 12.0);
+    EXPECT_DOUBLE_EQ(t.lookup(action_kind::add_replica, 2, 10.0).duration, 20.0);
+    EXPECT_THROW((void)t.lookup(action_kind::remove_replica, 0, 10.0), invariant_error);
+    EXPECT_THROW((void)t.lookup(action_kind::power_on, 0, 10.0), invariant_error);
+}
+
 TEST(CostTable, ActionLookupResolvesAppAndTier) {
     const auto model = make_model();
     cost_table t;

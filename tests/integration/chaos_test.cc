@@ -1,8 +1,7 @@
 // Control-plane chaos harness (DESIGN.md §16): quarantine hysteresis, budget
 // conservation under quarantine, a randomized crash/hang/restart soak
 // asserting the invariants that must survive any fault schedule, and the
-// warm-restart byte-identity proofs (fault-free and host-fault-injected, at
-// evaluator thread counts 1 and 4).
+// warm-restart byte-identity proofs (fault-free and host-fault-injected).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -321,10 +320,9 @@ scenario warm_restart_scenario() {
 // from its checkpoint plus decision-journal tail replay must resume the
 // *byte-identical* run — same utility bits, same action count, same modeled
 // delays — as one that never restarted.
-void expect_warm_restart_identity(const scenario& scn, std::size_t threads) {
+void expect_warm_restart_identity(const scenario& scn) {
     const auto costs = cost::cost_table::paper_defaults();
     controller_builder builder;
-    builder.threads(threads);
     coordinator_options copts;
 
     global_coordinator uninterrupted(scn.model, costs,
@@ -360,11 +358,7 @@ void expect_warm_restart_identity(const scenario& scn, std::size_t threads) {
 }
 
 TEST_F(ChaosTest, WarmRestartIsByteIdenticalFaultFreeSingleThread) {
-    expect_warm_restart_identity(warm_restart_scenario(), 1);
-}
-
-TEST_F(ChaosTest, WarmRestartIsByteIdenticalFaultFreeFourThreads) {
-    expect_warm_restart_identity(warm_restart_scenario(), 4);
+    expect_warm_restart_identity(warm_restart_scenario());
 }
 
 // Same proof under infrastructure faults: aborted actions and a host crash
@@ -375,9 +369,7 @@ TEST_F(ChaosTest, WarmRestartIsByteIdenticalUnderHostFaults) {
     auto& f = scn.options.testbed.faults;
     f = sim::fault_options::uniform(0.25, 0.25);
     f.host_crashes.push_back({.at = 1200.0, .host = 1, .recover_after = 900.0});
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        expect_warm_restart_identity(scn, threads);
-    }
+    expect_warm_restart_identity(scn);
 }
 
 }  // namespace

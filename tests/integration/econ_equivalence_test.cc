@@ -7,8 +7,8 @@
 //    (flat tariff at the paper's $0.01/W·interval, flat pricing, no carbon
 //    price, no cap schedule) is byte-identical to the plain controller:
 //    same decision trace, same modeled delays, same utility series to the
-//    last bit, at evaluator thread counts 1 and 4, fault-injected and
-//    fault-free, and under the sharded coordinator. Only the extra
+//    last bit, fault-injected and fault-free, and under the sharded
+//    coordinator. Only the extra
 //    "econ_decision" journal events may differ. This licenses everything
 //    the econ layer adds: the flat path *is* the original arithmetic.
 //
@@ -64,16 +64,9 @@ scenario moving_scenario(sim::sensor_fault_options sensors = {},
     return make_rubis_scenario(opts);
 }
 
-controller_options econ_options(std::size_t threads = 1) {
+controller_options econ_options() {
     controller_options opts;
     opts.econ = flat_profile();
-    opts.search.evaluation.threads = threads;
-    return opts;
-}
-
-controller_options plain_options(std::size_t threads = 1) {
-    controller_options opts;
-    opts.search.evaluation.threads = threads;
     return opts;
 }
 
@@ -100,36 +93,29 @@ void expect_identical_runs(const run_result& a, const run_result& b) {
     }
 }
 
-void expect_flat_econ_matches_plain(std::size_t threads,
-                                    sim::sensor_fault_options sensors = {},
+void expect_flat_econ_matches_plain(sim::sensor_fault_options sensors = {},
                                     sim::fault_options testbed_faults = {}) {
     const auto scn = moving_scenario(sensors, testbed_faults);
     const auto costs = cost::cost_table::paper_defaults();
-    mistral_strategy econ(scn.model, costs, econ_options(threads));
-    mistral_strategy plain(scn.model, costs, plain_options(threads));
+    mistral_strategy econ(scn.model, costs, econ_options());
+    mistral_strategy plain(scn.model, costs);
     expect_identical_runs(run_scenario(scn, econ), run_scenario(scn, plain));
 }
 
 TEST(EconEquivalence, FlatEconMatchesPlainFaultFreeSingleThread) {
-    expect_flat_econ_matches_plain(1);
-}
-
-TEST(EconEquivalence, FlatEconMatchesPlainFaultFreeFourThreads) {
-    expect_flat_econ_matches_plain(4);
+    expect_flat_econ_matches_plain();
 }
 
 TEST(EconEquivalence, FlatEconMatchesPlainUnderSensorFaults) {
     // Sensor corruption exercises the validator/ladder interplay on both
     // sides — the econ binding must not perturb the fail-safe machinery.
-    expect_flat_econ_matches_plain(1, sim::sensor_fault_options::uniform(0.06));
-    expect_flat_econ_matches_plain(4, sim::sensor_fault_options::uniform(0.06));
+    expect_flat_econ_matches_plain(sim::sensor_fault_options::uniform(0.06));
 }
 
 TEST(EconEquivalence, FlatEconMatchesPlainUnderTestbedFaults) {
     // Aborting/straggling actions change the measured state both controllers
     // replan from; divergence here would mean the econ path leaks state.
-    expect_flat_econ_matches_plain(1, {}, sim::fault_options::uniform(0.2, 0.1));
-    expect_flat_econ_matches_plain(4, {}, sim::fault_options::uniform(0.2, 0.1));
+    expect_flat_econ_matches_plain({}, sim::fault_options::uniform(0.2, 0.1));
 }
 
 // The per-decision trace compared action-for-action: stronger than the
@@ -138,7 +124,7 @@ TEST(EconEquivalence, FlatEconDecisionTraceIsIdenticalStepByStep) {
     const auto scn = moving_scenario();
     const auto costs = cost::cost_table::paper_defaults();
     mistral_strategy econ(scn.model, costs, econ_options());
-    mistral_strategy plain(scn.model, costs, plain_options());
+    mistral_strategy plain(scn.model, costs);
 
     auto cfg_e = scn.initial;
     auto cfg_p = scn.initial;
@@ -174,7 +160,7 @@ TEST(EconEquivalence, FlatEconMatchesPlainUnderShardedCoordinator) {
     builder.econ(flat_profile());
     global_coordinator pods(scn.model, costs, uniform_partition(scn.model, 1),
                             builder);
-    mistral_strategy plain(scn.model, costs, plain_options());
+    mistral_strategy plain(scn.model, costs);
 
     expect_identical_runs(run_scenario(scn, pods), run_scenario(scn, plain));
 }
@@ -188,8 +174,8 @@ TEST(EconEquivalence, FlatEconHarnessAccountingIsConsistent) {
     scn_econ.options.econ = flat_profile();
 
     const auto costs = cost::cost_table::paper_defaults();
-    mistral_strategy a(scn_plain.model, costs, plain_options());
-    mistral_strategy b(scn_econ.model, costs, plain_options());
+    mistral_strategy a(scn_plain.model, costs);
+    mistral_strategy b(scn_econ.model, costs);
     const auto rp = run_scenario(scn_plain, a);
     const auto re = run_scenario(scn_econ, b);
 

@@ -1,12 +1,9 @@
 // Differential determinism under fault injection.
 //
 // The same seed and fault schedule must produce a bit-identical
-// decision-and-measurement trace regardless of the evaluation engine's
-// thread count: faults are drawn from their own forked RNG stream keyed
-// only by the action sequence, and the parallel evaluator guarantees
-// bit-identical utilities — so nothing about scheduling may leak into a
-// decision. Runs under the `sanitize` CTest label so the thread-sanitizer
-// build exercises the {1, 4}-thread pair too.
+// decision-and-measurement trace on every replay: faults are drawn from
+// their own forked RNG stream keyed only by the action sequence, so nothing
+// outside the seed may leak into a decision.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,11 +46,10 @@ cluster::configuration base_config(const cluster::cluster_model& model) {
     return c;
 }
 
-// One line per interval capturing everything a scheduling difference could
+// One line per interval capturing everything a nondeterminism could
 // perturb: decision flags, the exact action strings, the bit pattern of the
 // expected utility, the configuration hash, and the fault notices.
-std::string run_trace(const cluster::cluster_model& model, std::uint64_t seed,
-                      std::size_t threads) {
+std::string run_trace(const cluster::cluster_model& model, std::uint64_t seed) {
     sim::testbed_options tb_opts;
     tb_opts.seed = seed;
     auto& f = tb_opts.faults;
@@ -66,7 +62,6 @@ std::string run_trace(const cluster::cluster_model& model, std::uint64_t seed,
 
     core::controller_options opts;
     opts.search.max_expansions = 80;
-    opts.search.evaluation.with_threads(threads);
     core::mistral_controller ctl(model, cost::cost_table::paper_defaults(), opts);
 
     rng workload(seed ^ 0x777ULL);
@@ -122,23 +117,17 @@ std::string run_trace(const cluster::cluster_model& model, std::uint64_t seed,
     return trace.str();
 }
 
-TEST(FaultDeterminism, ThreadCountDoesNotChangeTheTrace) {
-    const auto model = make_model(3, 1);
-    for (const std::uint64_t seed : {11ull, 12ull}) {
-        const auto serial = run_trace(model, seed, 1);
-        const auto parallel = run_trace(model, seed, 4);
-        EXPECT_EQ(serial, parallel) << "seed " << seed;
-        // The schedule must actually exercise faults for the comparison to
-        // mean anything.
-        EXPECT_NE(serial.find("failed="), std::string::npos);
-    }
-}
-
 // The same run repeated with identical settings replays bit-identically —
 // the determinism the resumable harness and the episode seeds rely on.
 TEST(FaultDeterminism, SameSeedReplaysBitIdentically) {
     const auto model = make_model(3, 1);
-    EXPECT_EQ(run_trace(model, 21, 1), run_trace(model, 21, 1));
+    for (const std::uint64_t seed : {11ull, 21ull}) {
+        const auto trace = run_trace(model, seed);
+        EXPECT_EQ(trace, run_trace(model, seed)) << "seed " << seed;
+        // The schedule must actually exercise faults for the comparison to
+        // mean anything.
+        EXPECT_NE(trace.find("failed="), std::string::npos) << "seed " << seed;
+    }
 }
 
 }  // namespace

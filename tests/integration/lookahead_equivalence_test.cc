@@ -56,17 +56,10 @@ scenario moving_scenario(sim::sensor_fault_options sensors = {},
     return make_rubis_scenario(opts);
 }
 
-controller_options with_lookahead(int horizon, std::size_t threads = 1) {
+controller_options with_lookahead(int horizon) {
     controller_options opts;
     opts.lookahead.enabled = true;
     opts.lookahead.horizon = horizon;
-    opts.search.evaluation.threads = threads;
-    return opts;
-}
-
-controller_options flat_options(std::size_t threads = 1) {
-    controller_options opts;
-    opts.search.evaluation.threads = threads;
     return opts;
 }
 
@@ -93,37 +86,30 @@ void expect_identical_runs(const run_result& a, const run_result& b) {
     }
 }
 
-void expect_k1_matches_flat(std::size_t threads,
-                            sim::sensor_fault_options sensors = {},
+void expect_k1_matches_flat(sim::sensor_fault_options sensors = {},
                             sim::fault_options testbed_faults = {}) {
     const auto scn = moving_scenario(sensors, testbed_faults);
     const auto costs = cost::cost_table::paper_defaults();
-    mistral_strategy lookahead(scn.model, costs, with_lookahead(1, threads));
-    mistral_strategy flat(scn.model, costs, flat_options(threads));
+    mistral_strategy lookahead(scn.model, costs, with_lookahead(1));
+    mistral_strategy flat(scn.model, costs);
     expect_identical_runs(run_scenario(scn, lookahead),
                           run_scenario(scn, flat));
 }
 
 TEST(LookaheadEquivalence, K1MatchesFlatFaultFreeSingleThread) {
-    expect_k1_matches_flat(1);
-}
-
-TEST(LookaheadEquivalence, K1MatchesFlatFaultFreeFourThreads) {
-    expect_k1_matches_flat(4);
+    expect_k1_matches_flat();
 }
 
 TEST(LookaheadEquivalence, K1MatchesFlatUnderSensorFaults) {
     // Sensor corruption exercises the validator/ladder interplay on both
     // sides — the lookahead rung must demote and recover exactly like full.
-    expect_k1_matches_flat(1, sim::sensor_fault_options::uniform(0.06));
-    expect_k1_matches_flat(4, sim::sensor_fault_options::uniform(0.06));
+    expect_k1_matches_flat(sim::sensor_fault_options::uniform(0.06));
 }
 
 TEST(LookaheadEquivalence, K1MatchesFlatUnderTestbedFaults) {
     // Aborting/straggling actions change the measured state both controllers
     // replan from; divergence here would mean K=1 leaks planner state.
-    expect_k1_matches_flat(1, {}, sim::fault_options::uniform(0.2, 0.1));
-    expect_k1_matches_flat(4, {}, sim::fault_options::uniform(0.2, 0.1));
+    expect_k1_matches_flat({}, sim::fault_options::uniform(0.2, 0.1));
 }
 
 // The per-decision trace compared action-for-action: stronger than the
@@ -134,7 +120,7 @@ TEST(LookaheadEquivalence, K1DecisionTraceIsIdenticalStepByStep) {
     const auto scn = moving_scenario();
     const auto costs = cost::cost_table::paper_defaults();
     mistral_strategy look(scn.model, costs, with_lookahead(1));
-    mistral_strategy flat(scn.model, costs, flat_options());
+    mistral_strategy flat(scn.model, costs);
 
     auto cfg_l = scn.initial;
     auto cfg_f = scn.initial;
@@ -174,26 +160,21 @@ TEST(LookaheadEquivalence, K1MatchesFlatUnderShardedCoordinator) {
     builder.lookahead(1);
     global_coordinator pods(scn.model, costs, uniform_partition(scn.model, 1),
                             builder);
-    mistral_strategy flat(scn.model, costs, flat_options());
+    mistral_strategy flat(scn.model, costs);
 
     expect_identical_runs(run_scenario(scn, pods), run_scenario(scn, flat));
 }
 
 // K > 1 has no flat twin, but it must be a pure function of the scenario:
-// bit-identical across repeated runs and across evaluator thread counts.
+// bit-identical across repeated runs.
 TEST(LookaheadEquivalence, K3DeterministicAcrossRunsAndThreads) {
     const auto scn = moving_scenario();
     const auto costs = cost::cost_table::paper_defaults();
 
-    mistral_strategy first(scn.model, costs, with_lookahead(3, 1));
-    mistral_strategy again(scn.model, costs, with_lookahead(3, 1));
-    mistral_strategy wide(scn.model, costs, with_lookahead(3, 4));
+    mistral_strategy first(scn.model, costs, with_lookahead(3));
+    mistral_strategy again(scn.model, costs, with_lookahead(3));
 
-    const auto ra = run_scenario(scn, first);
-    const auto rb = run_scenario(scn, again);
-    const auto rc = run_scenario(scn, wide);
-    expect_identical_runs(ra, rb);
-    expect_identical_runs(ra, rc);
+    expect_identical_runs(run_scenario(scn, first), run_scenario(scn, again));
     EXPECT_GE(first.controller().lookahead().lookahead_decisions, 1);
 }
 
