@@ -247,6 +247,23 @@ configuration apply(const cluster_model& model, const configuration& config,
     return next;
 }
 
+bool action_menu::allows(action_kind kind) const {
+    switch (kind) {
+        case action_kind::increase_cpu:
+        case action_kind::decrease_cpu:
+            return cpu_tuning;
+        case action_kind::add_replica:
+        case action_kind::remove_replica:
+            return replication;
+        case action_kind::migrate:
+            return migration;
+        case action_kind::power_on:
+        case action_kind::power_off:
+            return host_power;
+    }
+    return false;
+}
+
 std::vector<action> enumerate_actions(const cluster_model& model,
                                       const configuration& config,
                                       const action_menu& menu) {
@@ -266,18 +283,18 @@ std::vector<action> enumerate_actions(const cluster_model& model,
 
     for (const auto& desc : model.vms()) {
         if (!config.deployed(desc.vm)) continue;
-        if (menu.cpu_tuning) {
+        if (menu.allows(action_kind::increase_cpu)) {
             offer(increase_cpu{desc.vm});
             offer(decrease_cpu{desc.vm});
         }
-        if (menu.migration) {
+        if (menu.allows(action_kind::migrate)) {
             for (std::size_t h = 0; h < model.host_count(); ++h) {
                 offer(migrate{desc.vm, host_id{static_cast<std::int32_t>(h)}});
             }
         }
     }
 
-    if (menu.replication) {
+    if (menu.allows(action_kind::add_replica)) {
         for (std::size_t a = 0; a < model.app_count(); ++a) {
             const app_id app{static_cast<std::int32_t>(a)};
             for (std::size_t t = 0; t < model.app(app).tier_count(); ++t) {
@@ -301,7 +318,7 @@ std::vector<action> enumerate_actions(const cluster_model& model,
         }
     }
 
-    if (menu.host_power) {
+    if (menu.allows(action_kind::power_on)) {
         bool offered_on = false;
         for (std::size_t h = 0; h < model.host_count(); ++h) {
             const host_id host{static_cast<std::int32_t>(h)};

@@ -93,6 +93,9 @@ struct action_menu {
     bool replication = true;
     bool migration = true;
     bool host_power = true;
+
+    // Whether the menu admits actions of `kind`.
+    [[nodiscard]] bool allows(action_kind kind) const;
 };
 
 // All applicable actions from `config`, filtered by `menu`. Symmetry

@@ -327,9 +327,14 @@ bool is_candidate(const cluster_model& model, const configuration& config,
     return true;
 }
 
+bool fits(const cluster_model& model, const configuration& config, host_id host,
+          fraction extra_cap) {
+    return config.cap_sum(host) + extra_cap <= model.limits().host_cpu_cap + 1e-9;
+}
+
 bool overbooked(const cluster_model& model, const configuration& config,
                 host_id host) {
-    return config.cap_sum(host) > model.limits().host_cpu_cap + 1e-9;
+    return !fits(model, config, host, 0.0);
 }
 
 double cap_distance(const cluster_model& model, const configuration& a,

@@ -150,8 +150,14 @@ bool structurally_valid_degraded(const cluster_model& model,
 bool is_candidate(const cluster_model& model, const configuration& config,
                   std::string* why = nullptr);
 
-// The packing test for one host: true when its deployed CPU caps sum past
-// limits().host_cpu_cap. is_candidate applies it to every host.
+// The packing fit: true when `host`'s deployed CPU caps plus `extra_cap`
+// stay within limits().host_cpu_cap (1e-9 tolerance). Planners ask it before
+// placing or growing a VM.
+bool fits(const cluster_model& model, const configuration& config, host_id host,
+          fraction extra_cap);
+
+// The packing test for one host: true when its deployed CPU caps alone do not
+// fit. is_candidate applies it to every host.
 bool overbooked(const cluster_model& model, const configuration& config,
                 host_id host);
 

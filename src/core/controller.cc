@@ -33,12 +33,13 @@ utility_model make_bound_utility(const controller_options& options) {
 
 // The greedy rung plans at most one action under a small expansion budget;
 // everything else (menu, scopes, evaluation tuning) matches the main search.
+constexpr std::size_t greedy_max_expansions = 64;
+
 search_options greedy_rung_options(const controller_options& options) {
     search_options out = options.search;
     out.max_plan_actions = 1;
     out.seed_beyond_plan_limit = false;  // the one-action bound is the contract
-    out.max_expansions =
-        std::min(out.max_expansions, options.degraded.greedy_max_expansions);
+    out.max_expansions = std::min(out.max_expansions, greedy_max_expansions);
     return out;
 }
 
@@ -92,7 +93,6 @@ mistral_controller::mistral_controller(const cluster::cluster_model& model,
     MISTRAL_CHECK(options_.reconcile.backoff_factor >= 1.0);
     MISTRAL_CHECK(options_.degraded.promote_after >= 1);
     MISTRAL_CHECK(options_.degraded.search_deadline_fraction > 0.0);
-    MISTRAL_CHECK(options_.degraded.greedy_max_expansions >= 1);
     predictors_.reserve(model.app_count());
     for (std::size_t a = 0; a < model.app_count(); ++a) {
         predict::arma_options arma = options_.arma;
@@ -466,7 +466,7 @@ controller_decision mistral_controller::step(const decision_input& in) {
     // Repair first: a crash that pushed a tier below its replica minimum
     // leaves a configuration the steady-state predictors cannot even
     // evaluate; restore structural validity before optimizing.
-    if (rec.enabled && !cluster::structurally_valid(*model_, base)) {
+    if (!cluster::structurally_valid(*model_, base)) {
         auto repair = plan_repair(*model_, base);
         if (!repair.empty()) {
             first_step_ = false;
@@ -528,7 +528,7 @@ controller_decision mistral_controller::step(const decision_input& in) {
     // exactly the adaptation an untrusted predictor cannot justify (the
     // structural-repair path above already handled safety).
     bool force = false;
-    if (rec.enabled && mode_ != control_mode::hold && fault_signal &&
+    if (mode_ != control_mode::hold && fault_signal &&
         now + 1e-9 >= backoff_until_ && fault_rounds_ < rec.max_retries) {
         force = true;
         backoff_until_ =

@@ -33,8 +33,9 @@ namespace mistral::core {
 
 // Self-healing under fault injection: how the controller reconciles what it
 // intended with what the testbed reports actually happened.
+// Reconciliation is always on: structural repair after host crashes and
+// fault-triggered replans.
 struct reconcile_options {
-    bool enabled = true;
     // At most this many consecutive fault-triggered replans; after that the
     // controller waits for the regular band trigger (a persistently failing
     // action must not re-submit forever).
@@ -89,8 +90,6 @@ struct degraded_options {
     // only trip when a meter reports genuine overrun (or the search is
     // configured non-self-aware on a large cluster).
     double search_deadline_fraction = 0.5;
-    // Expansion budget for the greedy single-action rung.
-    std::size_t greedy_max_expansions = 64;
 };
 
 struct controller_options {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -14,26 +15,9 @@ namespace mistral::core {
 
 namespace {
 
-// Whole-cluster headroom report (the escalation controller's event row).
-pod_report cluster_report(const cluster::cluster_model& model,
-                          const cluster::configuration& config) {
-    pod_report r;
-    double cap_total = 0.0;
-    std::size_t healthy = 0;
-    for (std::size_t h = 0; h < model.host_count(); ++h) {
-        const host_id host{static_cast<std::int32_t>(h)};
-        const auto& hs = model.hosts()[h];
-        r.max_draw += hs.power.power(1.0);
-        if (!config.host_failed(host)) ++healthy;
-        if (!config.host_on(host)) continue;
-        cap_total += config.cap_sum(host);
-        r.draw += hs.power.power(config.cap_sum(host) / hs.cpu_capacity);
-    }
-    const double denom =
-        model.limits().host_cpu_cap * static_cast<double>(healthy);
-    r.pressure = denom > 0.0 ? cap_total / denom : 1.0;
-    return r;
-}
+// Share of a pod's unused saturated draw its budget demand claims at full
+// pressure (see redistribute).
+constexpr double grow_margin = 0.5;
 
 void validate_level1(const cluster::cluster_model& model,
                      const std::vector<pod_spec>& pods) {
@@ -76,8 +60,7 @@ std::vector<cluster::action> first_fit_plan(const cluster::cluster_model& model,
             if (!scratch.host_on(host) || scratch.host_failed(host)) continue;
             const cluster::action a = cluster::migrate{vm.vm, host};
             if (!cluster::applicable(model, scratch, a)) continue;
-            if (scratch.cap_sum(host) + p->cpu_cap >
-                model.limits().host_cpu_cap + 1e-9) {
+            if (!cluster::fits(model, scratch, host, p->cpu_cap)) {
                 continue;  // would overbook: keep the plan candidate-clean
             }
             scratch = cluster::apply(model, scratch, a);
@@ -88,17 +71,6 @@ std::vector<cluster::action> first_fit_plan(const cluster::cluster_model& model,
         if (!placed) return {};
     }
     return plan;
-}
-
-void accumulate(search_stats& into, const search_stats& from) {
-    into.expansions += from.expansions;
-    into.generated += from.generated;
-    into.pruned = into.pruned || from.pruned;
-    into.eval_cache_hits += from.eval_cache_hits;
-    into.eval_cache_misses += from.eval_cache_misses;
-    into.eval_app_solves += from.eval_app_solves;
-    into.eval_app_cache_hits += from.eval_app_cache_hits;
-    into.eval_app_cache_misses += from.eval_app_cache_misses;
 }
 
 }  // namespace
@@ -115,7 +87,6 @@ global_coordinator::global_coordinator(const cluster::cluster_model& model,
       sharded_(true),
       specs_(parts.pods()) {
     MISTRAL_CHECK(options_.power_budget > 0.0);
-    MISTRAL_CHECK(options_.grow_margin >= 0.0);
     MISTRAL_CHECK(options_.max_brokered_moves >= 0);
     MISTRAL_CHECK(options_.pod_deadline > 0.0);
     MISTRAL_CHECK(options_.readmit_after >= 1);
@@ -326,7 +297,7 @@ void global_coordinator::reconcile_ownership(
 }
 
 std::vector<watts> global_coordinator::redistribute(
-    watts total, double grow_margin, const std::vector<pod_report>& reports,
+    watts total, const std::vector<pod_report>& reports,
     const std::vector<double>* growth_weight) {
     MISTRAL_CHECK(total > 0.0 && std::isfinite(total));
     const std::size_t n = reports.size();
@@ -410,7 +381,7 @@ void global_coordinator::redistribute_budgets(const decision_input& in,
         }
         weight_ptr = &weight;
     }
-    budgets_ = redistribute(total, options_.grow_margin, reports, weight_ptr);
+    budgets_ = redistribute(total, reports, weight_ptr);
     // A zero share (an all-idle pod under a tight budget) still needs a
     // positive cap for the terminal gate; one milliwatt forbids any
     // powered-on host just as effectively. The milliwatt is *borrowed* from
@@ -445,17 +416,23 @@ void global_coordinator::redistribute_budgets(const decision_input& in,
     }
 }
 
-void global_coordinator::emit_pod_decision(const pod_controller& pod,
+void global_coordinator::emit_pod_decision(const pod_controller* pod,
                                            const pod_outcome& po,
                                            const cluster::configuration& at,
-                                           seconds now,
-                                           const char* level) const {
+                                           seconds now) const {
     if (!obs::journaling(sink_)) return;
-    const pod_report r = pod.report(at);
-    const watts budget = pod.budget();
+    std::vector<std::size_t> every_host;
+    if (pod == nullptr) {
+        every_host.resize(model_->host_count());
+        std::iota(every_host.begin(), every_host.end(), std::size_t{0});
+    }
+    const pod_report r =
+        headroom_report(*model_, at, pod ? pod->spec().hosts : every_host);
+    const watts budget =
+        pod ? pod->budget() : std::numeric_limits<watts>::infinity();
     obs::event e("pod_decision", now);
-    e.integer("pod", static_cast<std::int64_t>(pod.spec().id))
-        .text("level", level)
+    e.integer("pod", pod ? static_cast<std::int64_t>(pod->spec().id) : -1)
+        .text("level", pod ? "pod" : "global")
         .boolean("invoked", po.invoked)
         .integer("actions", static_cast<std::int64_t>(po.actions.size()))
         .num("duration", po.decision.stats.duration)
@@ -481,30 +458,16 @@ strategy::outcome global_coordinator::decide_two_level(const decision_input& in)
         obs_escalation_actions_.add(static_cast<std::int64_t>(d2.actions.size()));
         obs_escalation_seconds_.observe(d2.stats.duration);
         if (obs::journaling(sink_)) {
-            const pod_report r = cluster_report(*model_, in.current);
-            obs::event e("pod_decision", in.now);
-            e.integer("pod", -1)
-                .text("level", "global")
-                .boolean("invoked", true)
-                .integer("actions", static_cast<std::int64_t>(d2.actions.size()))
-                .num("duration", d2.stats.duration)
-                .integer("expansions",
-                         static_cast<std::int64_t>(d2.stats.expansions))
-                .integer("generated",
-                         static_cast<std::int64_t>(d2.stats.generated))
-                .num("expected_utility", d2.expected_utility)
-                .num("budget_watts", -1.0)
-                .num("draw_watts", r.draw)
-                .num("pressure", r.pressure)
-                .text("mode", to_string(d2.mode));
-            sink_->record(e);
+            emit_pod_decision(
+                nullptr, {.invoked = true, .actions = d2.actions, .decision = d2},
+                in.current, in.now);
         }
         // An invoked search costs time and power whether or not a plan came
         // back; self-aware accounting keeps the empty-plan case on the books.
         out.invoked = true;
         out.decision_delay = d2.stats.duration;
         out.decision_power_cost = d2.stats.search_power_cost;
-        accumulate(out.stats, d2.stats);
+        out.stats.merge(d2.stats);
         if (!d2.actions.empty()) {
             // The escalation's reconfiguration preempts pod refinements for
             // this interval (they would race the larger change).
@@ -527,12 +490,12 @@ strategy::outcome global_coordinator::decide_two_level(const decision_input& in)
         step_in.current = probe;
         step_in.last_interval_utility = in.last_interval_utility;
         const auto po = pod->step(step_in);
-        emit_pod_decision(*pod, po, probe, in.now, "pod");
+        emit_pod_decision(pod.get(), po, probe, in.now);
         if (!po.invoked) continue;
         out.invoked = true;
         pod_delay = std::max(pod_delay, po.decision.stats.duration);
         out.decision_power_cost += po.decision.stats.search_power_cost;
-        accumulate(out.stats, po.decision.stats);
+        out.stats.merge(po.decision.stats);
         for (const auto& a : po.actions) {
             // Skip defensively if a sibling's change made one inapplicable.
             if (!cluster::applicable(*model_, probe, a)) continue;
@@ -577,7 +540,7 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
         out.decision_delay = po.decision.stats.duration;
         out.decision_power_cost = po.decision.stats.search_power_cost;
         out.stats = po.decision.stats;
-        emit_pod_decision(*pods_[0], po, in.current, in.now, "pod");
+        emit_pod_decision(pods_[0].get(), po, in.current, in.now);
         return out;
     }
 
@@ -646,7 +609,7 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
         if (faults[i].hang_multiplier > 1.0 && po.invoked) {
             po.decision.stats.duration *= faults[i].hang_multiplier;
         }
-        emit_pod_decision(*pods_[i], po, in.current, in.now, "pod");
+        emit_pod_decision(pods_[i].get(), po, in.current, in.now);
         if (!po.invoked) continue;
         if (po.decision.stats.duration > options_.pod_deadline) {
             // Deadline blown: the late plan is stale by the time it lands,
@@ -656,7 +619,7 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
             out.decision_delay =
                 std::max(out.decision_delay, options_.pod_deadline);
             out.decision_power_cost += po.decision.stats.search_power_cost;
-            accumulate(out.stats, po.decision.stats);
+            out.stats.merge(po.decision.stats);
             enter_quarantine(i, in.now, "deadline");
             apply_failsafe(i, probe, out, in.now, "deadline");
             continue;
@@ -666,7 +629,7 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
         // latency is the slowest pod, the power self-cost the sum.
         out.decision_delay = std::max(out.decision_delay, po.decision.stats.duration);
         out.decision_power_cost += po.decision.stats.search_power_cost;
-        accumulate(out.stats, po.decision.stats);
+        out.stats.merge(po.decision.stats);
         for (const auto& a : po.actions) {
             if (!cluster::applicable(*model_, probe, a)) continue;
             probe = cluster::apply(*model_, probe, a);

@@ -73,9 +73,6 @@ struct coordinator_options {
     // Cluster-wide power budget (watts). Infinity disables the budget broker
     // entirely: no reports, no events, no terminal gating.
     watts power_budget = std::numeric_limits<watts>::infinity();
-    // Demand blend for redistribution: demand = draw + grow_margin ·
-    // min(pressure, 1) · (max_draw − draw). Pressured pods ask for headroom.
-    double grow_margin = 0.5;
     // Migration broker watermarks (sharded mode, ≥ 2 pods).
     bool migration_broker = true;
     double donor_pressure = 0.85;   // propose eviction above this
@@ -221,11 +218,13 @@ public:
     // Demand-proportional integer-milliwatt split of `total` across the
     // reports; the shares sum to `total` exactly (largest-remainder
     // rounding, ties to the lower index). Exposed for the conservation test.
+    // A pod's demand is draw + ½ · min(pressure, 1) · (max_draw − draw):
+    // pressured pods ask for headroom.
     // `growth_weight` (optional, one entry per report, ≥ 0) scales each
     // pod's growth-headroom term only — the regional cheapest/price bias;
     // nullptr is the unweighted original.
     static std::vector<watts> redistribute(
-        watts total, double grow_margin, const std::vector<pod_report>& reports,
+        watts total, const std::vector<pod_report>& reports,
         const std::vector<double>* growth_weight = nullptr);
 
 private:
@@ -276,9 +275,11 @@ private:
                            seconds now);
     // Per-pod regional price at `now` (empty when regions are unset).
     [[nodiscard]] std::vector<double> pod_prices(seconds now) const;
-    void emit_pod_decision(const pod_controller& pod, const pod_outcome& po,
-                           const cluster::configuration& at, seconds now,
-                           const char* level) const;
+    // Journals one "pod_decision" event: `pod`'s outcome with the headroom
+    // over its hosts in `at`, or, for a null `pod`, the escalation
+    // controller's (pod -1, level "global", uncapped, every host).
+    void emit_pod_decision(const pod_controller* pod, const pod_outcome& po,
+                           const cluster::configuration& at, seconds now) const;
 };
 
 }  // namespace mistral::core

@@ -25,54 +25,6 @@ search_options continuation_options(const search_options& primary,
     return out;
 }
 
-// Mirrors of search.cc's transient-locality helpers (file-local there): the
-// VM an action touches, and the hosts whose applications feel its transient.
-vm_id touched_vm(const action& a) {
-    return std::visit(
-        [](const auto& x) -> vm_id {
-            using T = std::decay_t<decltype(x)>;
-            if constexpr (std::is_same_v<T, cluster::power_on> ||
-                          std::is_same_v<T, cluster::power_off>) {
-                return vm_id{};
-            } else {
-                return x.vm;
-            }
-        },
-        a);
-}
-
-std::vector<host_id> affected_hosts(const configuration& config, const action& a) {
-    std::vector<host_id> out;
-    std::visit(
-        [&](const auto& x) {
-            using T = std::decay_t<decltype(x)>;
-            if constexpr (std::is_same_v<T, cluster::migrate>) {
-                out = {config.placement(x.vm)->host, x.to};
-            } else if constexpr (std::is_same_v<T, cluster::add_replica>) {
-                out = {x.to};
-            } else if constexpr (std::is_same_v<T, cluster::remove_replica> ||
-                                 std::is_same_v<T, cluster::increase_cpu> ||
-                                 std::is_same_v<T, cluster::decrease_cpu>) {
-                out = {config.placement(x.vm)->host};
-            }
-        },
-        a);
-    return out;
-}
-
-void merge_stats(search_stats& into, const search_stats& s) {
-    into.duration += s.duration;
-    into.expansions += s.expansions;
-    into.generated += s.generated;
-    into.pruned = into.pruned || s.pruned;
-    into.search_power_cost += s.search_power_cost;
-    into.eval_cache_hits += s.eval_cache_hits;
-    into.eval_cache_misses += s.eval_cache_misses;
-    into.eval_app_solves += s.eval_app_solves;
-    into.eval_app_cache_hits += s.eval_app_cache_hits;
-    into.eval_app_cache_misses += s.eval_app_cache_misses;
-}
-
 }  // namespace
 
 lookahead_planner::lookahead_planner(const cluster::cluster_model& model,
@@ -81,8 +33,6 @@ lookahead_planner::lookahead_planner(const cluster::cluster_model& model,
                                      const adaptation_search& primary,
                                      lookahead_options options)
     : model_(&model),
-      utility_(utility),
-      costs_(&costs),
       primary_(&primary),
       options_(std::move(options)),
       continuation_(model, utility, costs,
@@ -95,59 +45,6 @@ lookahead_planner::lookahead_planner(const cluster::cluster_model& model,
     MISTRAL_CHECK(options_.continuation_max_expansions >= 1);
     MISTRAL_CHECK(options_.commit_margin >= 0.0);
     MISTRAL_CHECK(options_.deadline_fraction > 0.0);
-}
-
-dollars lookahead_planner::score_plan(const configuration& current,
-                                      const std::vector<action>& plan,
-                                      const std::vector<req_per_sec>& rates,
-                                      seconds cw, double cap_rate) const {
-    auto& engine = primary_->evaluator();
-    engine.begin_decision(rates);
-    const auto& targets = engine.targets();
-    const std::size_t host_count = model_->host_count();
-
-    // Same accounting as the A*'s draft_child/average_rate pair, applied to
-    // a fixed action sequence instead of a searched one.
-    configuration c = current;
-    dollars accrued = 0.0;
-    seconds duration = 0.0;
-    for (const action& a : plan) {
-        const auto entry = costs_->lookup(*model_, a, rates);
-        const auto pe = engine.evaluate(c);
-        const vm_id vm = touched_vm(a);
-        const auto touched = affected_hosts(c, a);
-        std::vector<std::uint8_t> occ(model_->app_count() * host_count, 0);
-        for (const auto& desc : model_->vms()) {
-            const auto& p = c.placement(desc.vm);
-            if (p) occ[desc.app.index() * host_count + p->host.index()] = 1;
-        }
-        double rate =
-            utility_.power_rate(std::max(0.0, pe.power + entry.delta_power));
-        for (std::size_t s = 0; s < model_->app_count(); ++s) {
-            seconds rt = pe.response_times[s];
-            if (vm.valid() && model_->vm(vm).app.index() == s) {
-                rt += entry.delta_rt_target;
-            } else if (!touched.empty()) {
-                bool colocated = false;
-                for (const host_id h : touched) {
-                    if (occ[s * host_count + h.index()] != 0) {
-                        colocated = true;
-                        break;
-                    }
-                }
-                if (colocated) rt += entry.delta_rt_colocated;
-            }
-            rate += utility_.perf_rate(rates[s], rt, targets[s]);
-        }
-        accrued += entry.duration * std::min(rate, cap_rate) -
-                   primary_->options().per_action_overhead;
-        duration += entry.duration;
-        c = cluster::apply(*model_, c, a);
-    }
-    const auto final_eval = engine.evaluate(c);
-    const seconds h =
-        std::max(cw, duration + utility_.params().monitoring_interval);
-    return (accrued + (h - duration) * final_eval.rate) / h * cw;
 }
 
 lookahead_result lookahead_planner::plan(
@@ -186,8 +83,9 @@ lookahead_result lookahead_planner::plan(
         return engine.evaluate(c).rate * cw;
     };
 
-    // Transient accrual in score_plan is clamped exactly like the search
-    // clamps at the ideal steady rate; with no feasible ideal there is no cap.
+    // The augmented plan's transient accrual is clamped at the measured
+    // interval's ideal steady rate, as the search clamps it; with no feasible
+    // ideal there is no cap.
     const double cap_rate =
         reactive.ideal_utility > 0.0
             ? reactive.ideal_utility / cw
@@ -240,7 +138,7 @@ lookahead_result lookahead_planner::plan(
         preprov = continuation_.find(current, forecast[peak], cw, 0.0, meter,
                                      now);
         ++out.searches;
-        merge_stats(aggregate, preprov.stats);
+        aggregate.merge(preprov.stats);
     }
     // The committed pre-provision is *augmentative*, never substitutive: the
     // reactive plan — searched under what is actually measured — always
@@ -282,7 +180,7 @@ lookahead_result lookahead_planner::plan(
                                     ? steady_value(current, rates)
                                     : reactive.expected_utility;
     const dollars v1_preprov =
-        contested ? score_plan(current, augmented, rates, cw, cap_rate)
+        contested ? primary_->value_plan(current, augmented, rates, cw, cap_rate)
                   : v1_reactive;
 
     // Tail rollout: bounded continuation searches from the candidate's
@@ -297,7 +195,7 @@ lookahead_result lookahead_planner::plan(
             disc *= options_.discount;
             auto r = continuation_.find(state, forecast[i], cw, 0.0, meter, now);
             ++out.searches;
-            merge_stats(aggregate, r.stats);
+            aggregate.merge(r.stats);
             const dollars value = r.actions.empty()
                                       ? steady_value(state, forecast[i])
                                       : r.expected_utility;

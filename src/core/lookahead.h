@@ -18,9 +18,10 @@
 //    against forecast rates (a damped trend undershoots real peaks, and a
 //    substitutive commit would churn migrations on forecast error; booting a
 //    host early risks only its idle power). The augmented first interval is
-//    re-scored under the measured rates with the same transient accounting
-//    the A* uses (cost tables + per-action overhead + steady evaluation over
-//    H = max(CW, D + M)), so pre-provisioning pays its true present cost.
+//    re-scored under the measured rates by the A*'s own Eq. 3 valuation
+//    (adaptation_search::value_plan: cost tables + per-action overhead +
+//    steady evaluation over H = max(CW, D + M)), so pre-provisioning pays
+//    its true present cost.
 //  * Each candidate's tail is rolled out with bounded-depth continuation
 //    searches (the same A* expansion under a small expansion budget, sharing
 //    the evaluation engine and its sub-solve cache), one per future interval,
@@ -137,20 +138,7 @@ public:
     [[nodiscard]] const lookahead_options& options() const { return options_; }
 
 private:
-    // Interval-1 dollars of executing `plan` from `current` under the
-    // measured rates: the A*'s own valuation (transient accrual from the cost
-    // tables, per-action overhead, steady rate over H = max(CW, D + M)),
-    // re-applied to a plan that was searched under different (forecast)
-    // rates. `cap_rate` clamps transient accrual exactly like the search
-    // clamps at the ideal rate.
-    [[nodiscard]] dollars score_plan(const cluster::configuration& current,
-                                     const std::vector<cluster::action>& plan,
-                                     const std::vector<req_per_sec>& rates,
-                                     seconds cw, double cap_rate) const;
-
     const cluster::cluster_model* model_;
-    utility_model utility_;
-    const cost::cost_table* costs_;
     const adaptation_search* primary_;
     lookahead_options options_;
     adaptation_search continuation_;  // bounded-depth tail search, shared engine

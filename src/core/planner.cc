@@ -122,8 +122,8 @@ std::vector<action> plan_transition(const cluster_model& model,
         for (int guard = 0; guard < 8; ++guard) {
             const fraction have = cur.placement(vm)->cpu_cap;
             if (have + model.limits().cpu_step / 2.0 >= cap) break;
-            if (cur.cap_sum(cur.placement(vm)->host) + model.limits().cpu_step >
-                model.limits().host_cpu_cap + 1e-9) {
+            if (!cluster::fits(model, cur, cur.placement(vm)->host,
+                               model.limits().cpu_step)) {
                 break;  // would overbook; the post-move stage finishes the job
             }
             if (!emit(cluster::increase_cpu{vm})) break;

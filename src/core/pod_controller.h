@@ -50,6 +50,12 @@ struct pod_report {
     double pressure = 0.0;
 };
 
+// Headroom report over `hosts` (parent host indices) of `config`: each pod's
+// report, and the escalation controller's over every host.
+[[nodiscard]] pod_report headroom_report(const cluster::cluster_model& model,
+                                         const cluster::configuration& config,
+                                         const std::vector<std::size_t>& hosts);
+
 // One pod's complete mutable state, for exact-round-trip checkpoints
 // (core/snapshot.h): the app assignment (which determines the view), the
 // applied budget, and the inner controller's state (absent for idle pods).
@@ -101,7 +107,9 @@ public:
     void set_budget(watts cap);
 
     // Headroom/shortfall report over the pod's hosts in `global`.
-    [[nodiscard]] pod_report report(const cluster::configuration& global) const;
+    [[nodiscard]] pod_report report(const cluster::configuration& global) const {
+        return headroom_report(*model_, global, spec_.hosts);
+    }
 
     // Migration-broker bookkeeping (sharded lens): ownership changes rebuild
     // the pod's view and controller — predictors restart cold, which is the

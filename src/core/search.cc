@@ -51,7 +51,103 @@ vm_id touched_vm(const action& a) {
         a);
 }
 
+// Eq. 3 plan valuation (Section IV-B) for one decision's rates, shared by
+// find() and value_plan(): each action accrues at its transient rate for its
+// cost-table duration, and a plan is valued by its *average utility rate*
+// over its own evaluation horizon H = max(CW, D + M), where D is the plan's
+// total duration and M one monitoring interval. The horizon floor D + M
+// keeps rescues sensible when the predicted stability interval has collapsed
+// (during a ramp, CW shrinks to its minimum, yet a rescue plan's benefit
+// genuinely persists at least until the controller can next revisit — one
+// interval past completion). Averaging over H rather than summing makes
+// horizon-stretching unprofitable: padding a plan with harmless actions
+// dilutes its average instead of annexing extra accounted time, so Eq. 3's
+// ordering over same-length plans is preserved while plans of different
+// lengths compare fairly. Since every instantaneous accrual rate is bounded
+// by the cap (the ideal rate), an average never exceeds it and the
+// ideal-rate cost-to-go stays admissible.
+struct plan_pricer {
+    const cluster::cluster_model& model;
+    const utility_model& utility;
+    const std::vector<req_per_sec>& rates;
+    const std::vector<seconds>& targets;  // planning targets for `rates`
+    seconds cw;
+    double cap_rate;
+    dollars per_action_overhead;
+
+    // app × host occupancy bitmap: occ[s·H + h] is nonzero iff application s
+    // has a deployed VM on host h. Computed once per configuration an action
+    // fires from, so the colocation test in accrue() is O(|touched|) instead
+    // of a VM-inventory scan per (action, app).
+    [[nodiscard]] std::vector<std::uint8_t> occupancy(const configuration& c) const {
+        const std::size_t host_count = model.host_count();
+        std::vector<std::uint8_t> occ(model.app_count() * host_count, 0);
+        for (const auto& desc : model.vms()) {
+            const auto& p = c.placement(desc.vm);
+            if (p) occ[desc.app.index() * host_count + p->host.index()] = 1;
+        }
+        return occ;
+    }
+
+    // `accrued` after firing `a` (cost entry `entry`, touching the hosts
+    // `touched`) from a configuration with steady evaluation `pe` and
+    // occupancy `occ`. The target VM's application pays the action's RT
+    // delta, applications co-located on a touched host the co-located delta.
+    // Transient accrual is clamped at the cap rate so that time spent
+    // mid-adaptation can never appear *better* than the best legal steady
+    // state (which would invite lingering in intermediate configurations
+    // and break the heuristic's bound).
+    [[nodiscard]] dollars accrue(dollars accrued, const steady_utility& pe,
+                                 const std::vector<std::uint8_t>& occ,
+                                 const action& a, const cost::cost_entry& entry,
+                                 const touched_hosts& touched) const {
+        const std::size_t host_count = model.host_count();
+        const vm_id vm = touched_vm(a);
+        double rate = utility.power_rate(std::max(0.0, pe.power + entry.delta_power));
+        for (std::size_t s = 0; s < model.app_count(); ++s) {
+            seconds rt = pe.response_times[s];
+            if (vm.valid() && model.vm(vm).app.index() == s) {
+                rt += entry.delta_rt_target;
+            } else if (!touched.empty()) {
+                bool colocated = false;
+                for (const host_id h : touched) {
+                    if (occ[s * host_count + h.index()] != 0) {
+                        colocated = true;
+                        break;
+                    }
+                }
+                if (colocated) rt += entry.delta_rt_colocated;
+            }
+            rate += utility.perf_rate(rates[s], rt, targets[s]);
+        }
+        return accrued + entry.duration * std::min(rate, cap_rate) -
+               per_action_overhead;
+    }
+
+    // Average rate of: `accrued` transient dollars over `duration`, then
+    // `rate` until H.
+    [[nodiscard]] double average_rate(dollars accrued, seconds duration,
+                                      double rate) const {
+        const seconds h =
+            std::max(cw, duration + utility.params().monitoring_interval);
+        return (accrued + (h - duration) * rate) / h;
+    }
+};
+
 }  // namespace
+
+void search_stats::merge(const search_stats& other) {
+    duration += other.duration;
+    expansions += other.expansions;
+    generated += other.generated;
+    pruned = pruned || other.pruned;
+    search_power_cost += other.search_power_cost;
+    eval_cache_hits += other.eval_cache_hits;
+    eval_cache_misses += other.eval_cache_misses;
+    eval_app_solves += other.eval_app_solves;
+    eval_app_cache_hits += other.eval_app_cache_hits;
+    eval_app_cache_misses += other.eval_app_cache_misses;
+}
 
 adaptation_search::adaptation_search(const cluster::cluster_model& model,
                                      utility_model utility, cost::cost_table costs,
@@ -156,13 +252,10 @@ search_result adaptation_search::find(const configuration& current,
         prof.control_window = cw;
         prof.budget = expected_utility;
         prof.duration = r.stats.duration;
-        prof.active_seconds = r.stats.duration;
         prof.power_cost = r.stats.search_power_cost;
         prof.expansions = static_cast<std::int64_t>(r.stats.expansions);
         prof.generated = static_cast<std::int64_t>(r.stats.generated);
         prof.pruned = r.stats.pruned;
-        prof.eval_hits = static_cast<std::int64_t>(r.stats.eval_cache_hits);
-        prof.eval_misses = static_cast<std::int64_t>(r.stats.eval_cache_misses);
         prof.meter = meter.kind();
         prof.plan_actions = static_cast<std::int64_t>(r.actions.size());
         prof.expected_utility = r.expected_utility;
@@ -189,49 +282,6 @@ search_result adaptation_search::find(const configuration& current,
         return stay;
     }
     const double ideal_rate = ideal.utility_rate;
-
-    // app × host occupancy bitmap of a configuration: occ[s·H + h] is nonzero
-    // iff application s has a deployed VM on host h. Computed once per
-    // expansion so the transient colocation test below is O(|touched|)
-    // instead of a VM-inventory scan per (child, app).
-    const std::size_t host_count = model.host_count();
-    auto occupancy = [&](const configuration& c) {
-        std::vector<std::uint8_t> occ(model.app_count() * host_count, 0);
-        for (const auto& desc : model.vms()) {
-            const auto& p = c.placement(desc.vm);
-            if (p) occ[desc.app.index() * host_count + p->host.index()] = 1;
-        }
-        return occ;
-    };
-
-    // Transient accrual rate while `a` executes in a configuration with
-    // steady evaluation `ce` and occupancy `occ`; `touched` are the hosts
-    // whose applications feel it.
-    auto transient_rate = [&](const std::vector<std::uint8_t>& occ,
-                              const steady_utility& ce, const action& a,
-                              const cost::cost_entry& entry,
-                              const touched_hosts& touched) -> double {
-        const vm_id vm = touched_vm(a);
-        double rate = utility_.power_rate(std::max(0.0, ce.power + entry.delta_power));
-        for (std::size_t s = 0; s < model.app_count(); ++s) {
-            seconds rt = ce.response_times[s];
-            if (vm.valid() && model.vm(vm).app.index() == s) {
-                rt += entry.delta_rt_target;
-            } else if (!touched.empty()) {
-                // Co-located applications: any VM on an affected host.
-                bool colocated = false;
-                for (const host_id h : touched) {
-                    if (occ[s * host_count + h.index()] != 0) {
-                        colocated = true;
-                        break;
-                    }
-                }
-                if (colocated) rt += entry.delta_rt_colocated;
-            }
-            rate += utility_.perf_rate(rates[s], rt, targets[s]);
-        }
-        return rate;
-    };
 
     // Pruning distance to the ideal configuration, with cap_distance's
     // ideal-derived VM weights hoisted: they depend only on `ideal`, so
@@ -288,35 +338,18 @@ search_result adaptation_search::find(const configuration& current,
     dollars uh = expected_utility;
     const double uh_rate = cw > 0.0 ? expected_utility / cw : 0.0;
     const seconds delay_threshold = options_.delay_threshold_fraction * cw;
-    const double current_rate = engine.evaluate(current).rate;
+    const steady_utility root_eval = engine.evaluate(current);
+    const double current_rate = root_eval.rate;
     dollars ut = 0.0, upwr_t = 0.0;
     seconds last_elapsed = meter.elapsed();
     bool prune_mode = false;
 
     int best_terminal = -1;
 
-    // Plan valuation: the *average utility rate* over the plan's own
-    // evaluation horizon H = max(CW, D + M), where D is the plan's total
-    // duration and M one monitoring interval. The horizon floor D + M keeps
-    // rescues sensible when the predicted stability interval has collapsed
-    // (during a ramp, CW shrinks to its minimum, yet a rescue plan's benefit
-    // genuinely persists at least until the controller can next revisit —
-    // one interval past completion). Averaging over H rather than summing
-    // makes horizon-stretching unprofitable: padding a plan with harmless
-    // actions dilutes its average instead of annexing extra accounted time,
-    // so Eq. 3's ordering over same-length plans is preserved while plans of
-    // different lengths compare fairly. Since every instantaneous accrual
-    // rate is bounded by the ideal rate, an average never exceeds it and the
-    // ideal-rate cost-to-go stays admissible.
-    const seconds post_window = utility_.params().monitoring_interval;
-    auto horizon = [&](seconds duration) -> seconds {
-        return std::max(cw, duration + post_window);
-    };
-    // Average rate of: the accrued transient dollars, then `rate` until H.
-    auto average_rate = [&](dollars accrued, seconds duration, double rate) {
-        const seconds h = horizon(duration);
-        return (accrued + (h - duration) * rate) / h;
-    };
+    // Plan valuation: Eq. 3 as an average rate over H = max(CW, D + M), with
+    // transient accrual clamped at the ideal rate (see plan_pricer).
+    const plan_pricer pricer{model, utility_, rates, targets, cw, ideal_rate,
+                             options_.per_action_overhead};
 
     // Drafts the child vertex reached by firing `a` from vertex `v` (index
     // `parent_idx`): everything except the steady-state valuation, which
@@ -334,14 +367,7 @@ search_result adaptation_search::find(const configuration& current,
         c.config = apply(model, v.config, a);
         c.overbooked =
             overbooked_after(model, v.config, v.overbooked, c.config, touched);
-        // Transient accrual is clamped at the ideal rate so that time spent
-        // mid-adaptation can never appear *better* than the best legal
-        // steady state (which would invite lingering in intermediate
-        // configurations and break the heuristic's bound).
-        const double during =
-            std::min(transient_rate(occ, pe, a, entry, touched), ideal_rate);
-        c.accrued = v.accrued + entry.duration * during -
-                    options_.per_action_overhead;
+        c.accrued = pricer.accrue(v.accrued, pe, occ, a, entry, touched);
         c.duration = v.duration + entry.duration;
         c.depth = v.depth + 1;
         return c;
@@ -350,7 +376,8 @@ search_result adaptation_search::find(const configuration& current,
     // Vertex valuation: candidates by their own steady rate, intermediates
     // by the ideal bound. The 1e-9·D term breaks ties toward shorter plans.
     auto value_child = [&](vertex& c, double steady) {
-        c.utility = average_rate(c.accrued, c.duration, steady) - 1e-9 * c.duration;
+        c.utility = pricer.average_rate(c.accrued, c.duration, steady) -
+                    1e-9 * c.duration;
     };
 
     // Records a vertex if it improves on anything previously seen for its
@@ -366,10 +393,10 @@ search_result adaptation_search::find(const configuration& current,
         return static_cast<int>(vertices.size()) - 1;
     };
 
-    // Adds the "null"-edge terminal for a candidate vertex.
-    auto add_terminal = [&](std::size_t idx) {
+    // Adds the "null"-edge terminal for a candidate vertex; `pe` is its
+    // steady evaluation.
+    auto add_terminal = [&](std::size_t idx, const steady_utility& pe) {
         const vertex& v = vertices[idx];
-        const auto pe = engine.evaluate(v.config);
         // The power budget gates terminal candidacy only: like the packing
         // constraint, intermediates may exceed it while a plan is in flight,
         // but the plan must land inside the cap.
@@ -378,7 +405,7 @@ search_result adaptation_search::find(const configuration& current,
         term.parent = static_cast<int>(idx);
         term.via.reset();
         term.terminal = true;
-        term.utility = average_rate(v.accrued, v.duration, pe.rate);
+        term.utility = pricer.average_rate(v.accrued, v.duration, pe.rate);
         if (best_terminal < 0 ||
             term.utility >
                 vertices[static_cast<std::size_t>(best_terminal)].utility) {
@@ -430,22 +457,6 @@ search_result adaptation_search::find(const configuration& current,
     // it. Without seeding the loose ideal bound makes best-first exploration
     // effectively breadth-first, and deep consolidations are never reached
     // within the self-aware search budget.
-    auto menu_allows = [&](const action& a) -> bool {
-        switch (kind_of(a)) {
-            case cluster::action_kind::increase_cpu:
-            case cluster::action_kind::decrease_cpu:
-                return options_.menu.cpu_tuning;
-            case cluster::action_kind::add_replica:
-            case cluster::action_kind::remove_replica:
-                return options_.menu.replication;
-            case cluster::action_kind::migrate:
-                return options_.menu.migration;
-            case cluster::action_kind::power_on:
-            case cluster::action_kind::power_off:
-                return options_.menu.host_power;
-        }
-        return false;
-    };
     {
         // The seeded route is normally exempt from max_plan_actions: it
         // comes from the deterministic planner, which cannot pad, and
@@ -461,25 +472,30 @@ search_result adaptation_search::find(const configuration& current,
                 : static_cast<int>(std::min<std::size_t>(
                       options_.max_plan_actions, 64));
         std::size_t at = 0;
+        steady_utility at_eval = root_eval;  // steady evaluation of vertices[at]
         int seeded = 0;
         for (const auto& a : plan_transition(model, current, ideal.ideal)) {
             // Not held across record_vertex, which may reallocate vertices.
             const vertex& v = vertices[at];
-            if (++seeded > seed_limit || !menu_allows(a) ||
+            if (++seeded > seed_limit || !options_.menu.allows(kind_of(a)) ||
                 !applicable(model, v.config, a) ||
                 !action_allowed(model, options_, v.config, a)) {
                 break;
             }
             const seconds seed_start = profiling ? meter.elapsed() : 0.0;
             meter.on_expansion();
-            vertex c = draft_child(v, at, engine.evaluate(v.config),
-                                   occupancy(v.config), a);
-            value_child(c, c.overbooked == 0 ? engine.evaluate(c.config).rate
-                                             : ideal_rate);
+            vertex c = draft_child(v, at, at_eval, pricer.occupancy(v.config), a);
+            // A recorded step's one evaluation serves its valuation (when it
+            // is a candidate), its terminal and the next step's draft.
+            const bool candidate = c.overbooked == 0;
+            steady_utility ce;
+            if (candidate) ce = engine.evaluate(c.config);
+            value_child(c, candidate ? ce.rate : ideal_rate);
             const int idx = record_vertex(std::move(c));
             if (idx < 0) break;
-            add_terminal(static_cast<std::size_t>(idx));
             at = static_cast<std::size_t>(idx);
+            at_eval = candidate ? std::move(ce) : engine.evaluate(vertices[at].config);
+            add_terminal(at, at_eval);
             ++stats.generated;
             obs_generated_.add();
             // Seeded steps are charged like expansions; attribute their meter
@@ -530,8 +546,11 @@ search_result adaptation_search::find(const configuration& current,
             return finish(best_terminal);
         }
 
-        // Terminal ("null") child from candidate configurations.
-        add_terminal(idx);
+        // Terminal ("null") child from candidate configurations. The one
+        // steady evaluation of the expanded vertex serves it and the drafting
+        // of every action child below.
+        const auto pe = engine.evaluate(vertices[idx].config);
+        add_terminal(idx, pe);
         // Not held across record_vertex, which may reallocate vertices.
         const vertex& v = vertices[idx];
 
@@ -551,8 +570,7 @@ search_result adaptation_search::find(const configuration& current,
         // Draft each child (apply + incremental candidacy + transient
         // accounting, all pure given the parent), then value it: candidates
         // by their steady state, the rest by the ideal bound.
-        const auto pe = engine.evaluate(v.config);
-        const auto occ = occupancy(v.config);
+        const auto occ = pricer.occupancy(v.config);
         std::vector<vertex> children;
         children.reserve(acts.size());
         std::vector<double> child_distance;
@@ -593,6 +611,30 @@ search_result adaptation_search::find(const configuration& current,
     }
     // Expansion budget exhausted: settle for the best terminal found so far.
     return finish(best_terminal);
+}
+
+dollars adaptation_search::value_plan(const configuration& current,
+                                      const std::vector<action>& plan,
+                                      const std::vector<req_per_sec>& rates,
+                                      seconds cw, double cap_rate) const {
+    const auto& model = *model_;
+    auto& engine = *evaluator_;
+    engine.begin_decision(rates);
+    decision_costs costs(model, costs_, rates);
+    const plan_pricer pricer{model, utility_, rates, engine.targets(), cw,
+                             cap_rate, options_.per_action_overhead};
+    // find()'s draft_child accounting along a fixed action sequence.
+    configuration c = current;
+    dollars accrued = 0.0;
+    seconds duration = 0.0;
+    for (const action& a : plan) {
+        const auto& entry = costs.lookup(a);
+        accrued = pricer.accrue(accrued, engine.evaluate(c), pricer.occupancy(c), a,
+                                entry, affected_hosts(c, a));
+        duration += entry.duration;
+        c = apply(model, c, a);
+    }
+    return pricer.average_rate(accrued, duration, engine.evaluate(c).rate) * cw;
 }
 
 }  // namespace mistral::core

@@ -122,6 +122,11 @@ struct search_stats {
     std::size_t eval_app_solves = 0;
     std::size_t eval_app_cache_hits = 0;
     std::size_t eval_app_cache_misses = 0;
+
+    // Adds another search's work: every count, duration and power cost sums,
+    // and `pruned` ORs. Callers whose searches ran concurrently overwrite
+    // duration and power cost with their own totals afterwards.
+    void merge(const search_stats& other);
 };
 
 struct search_result {
@@ -168,6 +173,18 @@ public:
                                      seconds cw, dollars expected_utility,
                                      search_meter& meter,
                                      seconds now = 0.0) const;
+
+    // Eq. 3 value, in dollars over `cw`, of executing `plan` from `current`
+    // under `rates`: the valuation find() gives the same action sequence.
+    // Each action accrues at its cost-table transient rate, clamped at
+    // `cap_rate`, less the per-action overhead; the landing configuration
+    // then accrues at its steady rate, and the total is averaged over
+    // H = max(CW, D + M). find() clamps at the Perf-Pwr ideal rate. Every
+    // action must be applicable in turn.
+    [[nodiscard]] dollars value_plan(const cluster::configuration& current,
+                                     const std::vector<cluster::action>& plan,
+                                     const std::vector<req_per_sec>& rates,
+                                     seconds cw, double cap_rate) const;
 
 private:
     const cluster::cluster_model* model_;

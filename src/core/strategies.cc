@@ -248,7 +248,7 @@ strategy::outcome pwr_cost_strategy::decide(const decision_input& in) {
         host_id overbooked{};
         for (std::size_t h = 0; h < model_->host_count(); ++h) {
             const host_id host{static_cast<std::int32_t>(h)};
-            if (cur.cap_sum(host) > limits.host_cpu_cap + 1e-9) {
+            if (cluster::overbooked(*model_, cur, host)) {
                 overbooked = host;
                 break;
             }

@@ -23,15 +23,10 @@ struct search_profile {
     double control_window = 0.0;     // CW the search optimized over (s)
     double budget = 0.0;             // UH handed to the self-aware meter ($)
     double duration = 0.0;           // meter-elapsed search time (s)
-    double active_seconds = 0.0;     // power base; equals duration (one thread)
     double power_cost = 0.0;         // $ the search's own power drew
     std::int64_t expansions = 0;     // vertices expanded
     std::int64_t generated = 0;      // children generated
     bool pruned = false;             // self-aware pruning engaged
-    // Configuration evaluations: no whole-configuration cache exists, so hits
-    // stay 0 and misses count every configuration evaluated.
-    std::int64_t eval_hits = 0;
-    std::int64_t eval_misses = 0;
     std::string meter;               // "model_clock" / "wall_clock" / custom
     // Index = vertex depth (actions on the path from the root).
     std::vector<double> depth_expansions;  // expansions per depth
@@ -39,13 +34,6 @@ struct search_profile {
     std::int64_t plan_actions = 0;   // actions in the returned plan
     double expected_utility = 0.0;   // Eq. 3 value of the returned plan ($)
     double ideal_utility = 0.0;      // U° · CW heuristic bound ($)
-
-    [[nodiscard]] double memo_hit_rate() const {
-        const auto total = eval_hits + eval_misses;
-        return total > 0
-                   ? static_cast<double>(eval_hits) / static_cast<double>(total)
-                   : 0.0;
-    }
 
     // The journal record (type "search") at simulation time `now`.
     [[nodiscard]] event to_event(double now) const;

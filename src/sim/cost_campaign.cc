@@ -43,8 +43,7 @@ cluster::configuration random_placement(const cluster::cluster_model& model,
                         // Packing-only check: replica minima are met only
                         // once the whole placement completes.
                         const bool fits =
-                            config.cap_sum(host) + cap <=
-                                model.limits().host_cpu_cap + 1e-9 &&
+                            cluster::fits(model, config, host, cap) &&
                             static_cast<int>(config.vms_on(host).size()) <
                                 model.limits().max_vms_per_host &&
                             config.memory_sum(model, host) + model.vm(vm).memory_mb <=
@@ -92,7 +91,7 @@ std::optional<host_id> host_with_room(const cluster::cluster_model& model,
     for (std::size_t h = 0; h < placeable_hosts; ++h) {
         const host_id host{static_cast<std::int32_t>(h)};
         if (host == avoid) continue;
-        if (config.cap_sum(host) + cap <= model.limits().host_cpu_cap + 1e-9 &&
+        if (cluster::fits(model, config, host, cap) &&
             static_cast<int>(config.vms_on(host).size()) <
                 model.limits().max_vms_per_host) {
             return host;

@@ -14,19 +14,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "apps/rubis.h"
 #include "common/rng.h"
+#include "test_fixtures.h"
 
 namespace mistral::cluster {
 namespace {
 
-cluster_model make_model(std::size_t hosts, std::size_t apps) {
-    std::vector<apps::application_spec> specs;
-    for (std::size_t a = 0; a < apps; ++a) {
-        specs.push_back(apps::rubis_browsing("R" + std::to_string(a)));
-    }
-    return cluster_model(uniform_hosts(hosts), std::move(specs));
-}
+using test_support::make_model;
 
 configuration base_config(const cluster_model& m) {
     configuration c(m.vm_count(), m.host_count());

@@ -2,37 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/rubis.h"
 #include "common/check.h"
+#include "test_fixtures.h"
 
 namespace mistral::cluster {
 namespace {
 
-cluster_model make_model() {
-    std::vector<apps::application_spec> specs;
-    specs.push_back(apps::rubis_browsing("R0"));
-    specs.push_back(apps::rubis_browsing("R1"));
-    return cluster_model(uniform_hosts(4), std::move(specs));
-}
-
-// Minimal valid configuration: both apps' min replicas at 40 % on hosts 0..1
-// and 2..3 respectively.
-configuration base_config(const cluster_model& m) {
-    configuration c(m.vm_count(), m.host_count());
-    for (std::size_t h = 0; h < 4; ++h) {
-        c.set_host_power(host_id{static_cast<std::int32_t>(h)}, true);
-    }
-    for (std::size_t a = 0; a < 2; ++a) {
-        for (std::size_t t = 0; t < 3; ++t) {
-            c.deploy(m.tier_vms(app_id{static_cast<std::int32_t>(a)}, t)[0],
-                     host_id{static_cast<std::int32_t>(2 * a + t % 2)}, 0.4);
-        }
-    }
-    return c;
-}
+using test_support::make_model;
+using test_support::base_config;
 
 TEST(Configuration, DeployUndeployRoundTrip) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     configuration c(m.vm_count(), m.host_count());
     c.set_host_power(host_id{0}, true);
     const auto vm = m.tier_vms(app_id{0}, 0)[0];
@@ -46,7 +26,7 @@ TEST(Configuration, DeployUndeployRoundTrip) {
 }
 
 TEST(Configuration, CapsAreQuantizedForExactEquality) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     configuration c(m.vm_count(), m.host_count());
     c.set_host_power(host_id{0}, true);
     const auto vm = m.tier_vms(app_id{0}, 0)[0];
@@ -55,7 +35,7 @@ TEST(Configuration, CapsAreQuantizedForExactEquality) {
 }
 
 TEST(Configuration, AccountingQueries) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     const auto c = base_config(m);
     EXPECT_EQ(c.active_host_count(), 4u);
     EXPECT_EQ(c.deployed_vm_count(), 6u);
@@ -65,7 +45,7 @@ TEST(Configuration, AccountingQueries) {
 }
 
 TEST(Configuration, EqualityAndHashAgree) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     const auto a = base_config(m);
     auto b = base_config(m);
     EXPECT_EQ(a, b);
@@ -76,7 +56,7 @@ TEST(Configuration, EqualityAndHashAgree) {
 }
 
 TEST(Configuration, HashSensitiveToHostPower) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     const auto a = base_config(m);
     auto b = a;
     // Powering an empty host changes identity even with same placements.
@@ -85,20 +65,20 @@ TEST(Configuration, HashSensitiveToHostPower) {
 }
 
 TEST(Configuration, SetCapOnDormantThrows) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     configuration c(m.vm_count(), m.host_count());
     EXPECT_THROW(c.set_cap(m.tier_vms(app_id{0}, 0)[0], 0.4), invariant_error);
 }
 
 TEST(Configuration, StructurallyValidAcceptsBase) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     std::string why;
     EXPECT_TRUE(structurally_valid(m, base_config(m), &why)) << why;
     EXPECT_TRUE(is_candidate(m, base_config(m), &why)) << why;
 }
 
 TEST(Configuration, VmOnPoweredOffHostIsInvalid) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     auto c = base_config(m);
     // Move everything off host 3, then forcibly host a VM on a powered-off one.
     c.set_host_power(host_id{3}, false);
@@ -110,7 +90,7 @@ TEST(Configuration, VmOnPoweredOffHostIsInvalid) {
 }
 
 TEST(Configuration, MissingTierReplicaIsInvalid) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     auto c = base_config(m);
     c.undeploy(m.tier_vms(app_id{0}, 2)[0]);
     std::string why;
@@ -119,14 +99,14 @@ TEST(Configuration, MissingTierReplicaIsInvalid) {
 }
 
 TEST(Configuration, CapOutsideTierWindowIsInvalid) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     auto c = base_config(m);
     c.set_cap(m.tier_vms(app_id{0}, 0)[0], 0.9);  // above the 0.8 tier max
     EXPECT_FALSE(structurally_valid(m, c));
 }
 
 TEST(Configuration, OverbookedHostIsIntermediateNotInvalid) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     auto c = base_config(m);
     // Push host0's cap sum to 1.0: structurally fine, not a candidate.
     for (vm_id vm : c.vms_on(host_id{0})) c.set_cap(vm, 0.5);
@@ -137,7 +117,7 @@ TEST(Configuration, OverbookedHostIsIntermediateNotInvalid) {
 }
 
 TEST(Configuration, TooManyVmsPerHostInvalid) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     configuration c(m.vm_count(), m.host_count());
     c.set_host_power(host_id{0}, true);
     int placed = 0;
@@ -150,21 +130,21 @@ TEST(Configuration, TooManyVmsPerHostInvalid) {
 }
 
 TEST(Configuration, DescribeMentionsHostsAndVms) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     const auto text = base_config(m).describe(m);
     EXPECT_NE(text.find("host0[on]"), std::string::npos);
     EXPECT_NE(text.find("R0/web0@40%"), std::string::npos);
 }
 
 TEST(Distances, IdenticalConfigsAreZero) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     const auto c = base_config(m);
     EXPECT_DOUBLE_EQ(cap_distance(m, c, c, c), 0.0);
     EXPECT_DOUBLE_EQ(placement_distance(m, c, c), 0.0);
 }
 
 TEST(Distances, CapDistanceGrowsWithCapGap) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     const auto c = base_config(m);
     auto near = c;
     near.set_cap(m.tier_vms(app_id{0}, 0)[0], 0.5);
@@ -174,7 +154,7 @@ TEST(Distances, CapDistanceGrowsWithCapGap) {
 }
 
 TEST(Distances, PlacementDistanceCountsMoves) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     const auto c = base_config(m);
     auto moved = c;
     const auto vm = m.tier_vms(app_id{0}, 0)[0];
@@ -184,7 +164,7 @@ TEST(Distances, PlacementDistanceCountsMoves) {
 }
 
 TEST(Distances, BiggerIdealVmWeighsMore) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     auto ideal = base_config(m);
     const auto big = m.tier_vms(app_id{0}, 2)[0];   // db
     const auto small = m.tier_vms(app_id{0}, 0)[0];  // web

@@ -4,17 +4,12 @@
 
 #include "apps/rubis.h"
 #include "common/check.h"
+#include "test_fixtures.h"
 
 namespace mistral::cluster {
 namespace {
 
-cluster_model make_model(std::size_t hosts = 4, std::size_t apps = 2) {
-    std::vector<apps::application_spec> specs;
-    for (std::size_t a = 0; a < apps; ++a) {
-        specs.push_back(apps::rubis_browsing("R" + std::to_string(a)));
-    }
-    return cluster_model(uniform_hosts(hosts), std::move(specs));
-}
+using test_support::make_model;
 
 TEST(ClusterModel, UniformHostsNamedAndSized) {
     const auto hosts = uniform_hosts(3, 2048.0);
@@ -56,7 +51,7 @@ TEST(ClusterModel, TierSpecLookupMatchesApp) {
 }
 
 TEST(ClusterModel, DefaultLimitsMatchPaper) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     EXPECT_EQ(m.limits().max_vms_per_host, 4);
     EXPECT_DOUBLE_EQ(m.limits().host_cpu_cap, 0.8);
     EXPECT_DOUBLE_EQ(m.limits().dom0_memory_mb, 200.0);
@@ -64,7 +59,7 @@ TEST(ClusterModel, DefaultLimitsMatchPaper) {
 }
 
 TEST(ClusterModel, RejectsBadLookups) {
-    const auto m = make_model();
+    const auto m = make_model(4, 2);
     EXPECT_THROW(m.vm(vm_id{}), invariant_error);
     EXPECT_THROW(m.vm(vm_id{1000}), invariant_error);
     EXPECT_THROW(m.app(app_id{5}), invariant_error);

@@ -3,20 +3,14 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/rubis.h"
 #include "common/check.h"
+#include "test_fixtures.h"
 
 namespace mistral::cluster {
 namespace {
 
 struct ViewTest : ::testing::Test {
-    cluster_model model = [] {
-        std::vector<apps::application_spec> specs;
-        for (int a = 0; a < 3; ++a) {
-            specs.push_back(apps::rubis_browsing("R" + std::to_string(a)));
-        }
-        return cluster_model(uniform_hosts(6), std::move(specs));
-    }();
+    cluster_model model = test_support::make_model(6, 3);
 
     // Apps 0 and 1 on hosts {0,1,2}, app 2 on hosts {3,4}; host 5 dark.
     configuration base() const {

@@ -8,11 +8,11 @@
 #include <cmath>
 #include <variant>
 
-#include "apps/rubis.h"
 #include "common/check.h"
 #include "obs/journal.h"
 #include "obs/json.h"
 #include "sim/testbed.h"
+#include "test_fixtures.h"
 
 namespace mistral::core {
 namespace {
@@ -20,13 +20,7 @@ namespace {
 std::int64_t milliwatts(watts w) { return std::llround(w * 1000.0); }
 
 struct CoordinatorTest : ::testing::Test {
-    cluster::cluster_model model = [] {
-        std::vector<apps::application_spec> specs;
-        for (int a = 0; a < 2; ++a) {
-            specs.push_back(apps::rubis_browsing("R" + std::to_string(a)));
-        }
-        return cluster::cluster_model(cluster::uniform_hosts(6), std::move(specs));
-    }();
+    cluster::cluster_model model = test_support::make_model(6, 2);
     cost::cost_table costs = cost::cost_table::paper_defaults();
 
     // Both applications packed into pod {0,1,2}; pod {3,4,5} powered but
@@ -63,7 +57,7 @@ TEST_F(CoordinatorTest, RedistributeConservesTheBudgetExactly) {
     for (const watts total : {500.0, 333.333, 0.001, 1234.567}) {
         for (const auto& reports : cases) {
             const auto shares =
-                global_coordinator::redistribute(total, 0.5, reports);
+                global_coordinator::redistribute(total, reports);
             ASSERT_EQ(shares.size(), reports.size());
             std::int64_t sum = 0;
             for (const watts s : shares) {
@@ -80,11 +74,11 @@ TEST_F(CoordinatorTest, RedistributeFavorsPressuredPods) {
     // Equal draw, different pressure: the pressured pod gets the headroom.
     const std::vector<pod_report> reports = {{100.0, 300.0, 1.0},
                                              {100.0, 300.0, 0.0}};
-    const auto shares = global_coordinator::redistribute(400.0, 0.5, reports);
+    const auto shares = global_coordinator::redistribute(400.0, reports);
     EXPECT_GT(shares[0], shares[1]);
     // All-zero demand degenerates to an equal split.
     const std::vector<pod_report> idle = {{0.0, 300.0, 0.0}, {0.0, 300.0, 0.0}};
-    const auto even = global_coordinator::redistribute(400.0, 0.5, idle);
+    const auto even = global_coordinator::redistribute(400.0, idle);
     EXPECT_EQ(even[0], even[1]);
 }
 

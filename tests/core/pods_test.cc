@@ -3,20 +3,14 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/rubis.h"
 #include "common/check.h"
+#include "test_fixtures.h"
 
 namespace mistral::core {
 namespace {
 
 struct PodsTest : ::testing::Test {
-    cluster::cluster_model model = [] {
-        std::vector<apps::application_spec> specs;
-        for (int a = 0; a < 2; ++a) {
-            specs.push_back(apps::rubis_browsing("R" + std::to_string(a)));
-        }
-        return cluster::cluster_model(cluster::uniform_hosts(8), std::move(specs));
-    }();
+    cluster::cluster_model model = test_support::make_model(8, 2);
 };
 
 TEST_F(PodsTest, AcceptsDisjointCoveringPods) {

@@ -4,7 +4,10 @@
 
 #include "apps/rubis.h"
 #include "cluster/translate.h"
+#include "common/rng.h"
+#include "core/perf_pwr.h"
 #include "core/planner.h"
+#include "test_fixtures.h"
 
 namespace mistral::core {
 namespace {
@@ -206,6 +209,47 @@ TEST_F(SearchTest, PlanBeatsStayingByItsOwnAccounting) {
     const std::vector<req_per_sec> rates = {2.0, 2.0};
     const double stay_value = cw * u.steady_rate(rates, rts, targets, pred.power);
     EXPECT_GT(r.expected_utility, stay_value);
+}
+
+// find() and value_plan() price plans with one Eq. 3 routine: a returned
+// plan, replayed through value_plan under the same rates and window and
+// clamped at the Perf-Pwr ideal rate find() clamps at, is worth exactly the
+// search's expected utility whenever compress_plan returned the A* path
+// unchanged (a spliced detour would drop accrual the search counted). The
+// seeded decision walks below, on 4-host/2-app and 8-host/4-app clusters with
+// each decision starting where the previous plan landed, produce no detours,
+// so every non-empty plan is compared.
+TEST(SearchValuation, ValuePlanMatchesTheSearchBitForBit) {
+    std::size_t compared = 0;
+    for (const auto& [hosts, apps] :
+         {std::pair<std::size_t, std::size_t>{4, 2}, {8, 4}}) {
+        const auto model = test_support::make_model(hosts, apps);
+        const utility_model utility{};
+        const adaptation_search search(model, utility,
+                                       cost::cost_table::paper_defaults());
+        perf_pwr_optimizer ideal(model, utility, {}, search.shared_evaluator());
+        rng r(2026 + hosts);
+        cluster::configuration current = test_support::base_config(model);
+        for (int step = 0; step < 40; ++step) {
+            std::vector<req_per_sec> rates(apps);
+            for (auto& w : rates) w = r.uniform(2.0, 90.0);
+            const seconds cw = r.uniform(300.0, 2400.0);
+            model_clock_meter meter;
+            const auto res = search.find(current, rates, cw, 0.0, meter);
+            if (!res.actions.empty()) {
+                const double cap_rate = ideal.optimize(rates, &current).utility_rate;
+                const dollars value =
+                    search.value_plan(current, res.actions, rates, cw, cap_rate);
+                EXPECT_EQ(test_support::bits_of(value),
+                          test_support::bits_of(res.expected_utility))
+                    << hosts << " hosts, step " << step << ": " << value
+                    << " vs " << res.expected_utility;
+                ++compared;
+            }
+            current = res.target;
+        }
+    }
+    EXPECT_GE(compared, 20u);
 }
 
 }  // namespace

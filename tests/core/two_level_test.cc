@@ -1,20 +1,14 @@
 #include <gtest/gtest.h>
 
-#include "apps/rubis.h"
 #include "core/coordinator.h"
 #include "obs/journal.h"
+#include "test_fixtures.h"
 
 namespace mistral::core {
 namespace {
 
 struct fixture : ::testing::Test {
-    cluster::cluster_model model = [] {
-        std::vector<apps::application_spec> specs;
-        for (int a = 0; a < 3; ++a) {
-            specs.push_back(apps::rubis_browsing("R" + std::to_string(a)));
-        }
-        return cluster::cluster_model(cluster::uniform_hosts(6), std::move(specs));
-    }();
+    cluster::cluster_model model = test_support::make_model(6, 3);
     cost::cost_table costs = cost::cost_table::paper_defaults();
 
     cluster::configuration base() const {

@@ -2,20 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/rubis.h"
 #include "common/check.h"
+#include "test_fixtures.h"
 
 namespace mistral::cost {
 namespace {
 
 using cluster::action_kind;
 
-cluster::cluster_model make_model() {
-    std::vector<apps::application_spec> specs;
-    specs.push_back(apps::rubis_browsing("R0"));
-    specs.push_back(apps::rubis_browsing("R1"));
-    return cluster::cluster_model(cluster::uniform_hosts(4), std::move(specs));
-}
+using test_support::make_model;
 
 TEST(CostTable, EmptyHasNothing) {
     cost_table t;
@@ -66,7 +61,7 @@ TEST(CostTable, MissingTierZeroFallsBackToLowestMeasuredTier) {
 }
 
 TEST(CostTable, ActionLookupResolvesAppAndTier) {
-    const auto model = make_model();
+    const auto model = make_model(4, 2);
     cost_table t;
     t.add_measurement(action_kind::migrate, 2, 30.0, {33.0, 0.3, 0.1, 15.0});
     t.add_measurement(action_kind::migrate, 2, 60.0, {66.0, 0.6, 0.2, 25.0});
@@ -77,7 +72,7 @@ TEST(CostTable, ActionLookupResolvesAppAndTier) {
 }
 
 TEST(CostTable, HostPowerUsesTotalWorkload) {
-    const auto model = make_model();
+    const auto model = make_model(4, 2);
     cost_table t;
     t.add_measurement(action_kind::power_on, 0, 0.0, {90.0, 0.0, 0.0, 80.0});
     t.add_measurement(action_kind::power_on, 0, 100.0, {90.0, 0.0, 0.0, 85.0});

@@ -18,21 +18,16 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 
 #include "core/experiment.h"
 #include "obs/journal.h"
+#include "test_fixtures.h"
 #include "workload/generators.h"
 
 namespace mistral::core {
 namespace {
 
-std::uint64_t bits_of(double v) {
-    std::uint64_t b;
-    static_assert(sizeof b == sizeof v);
-    std::memcpy(&b, &v, sizeof b);
-    return b;
-}
+using test_support::expect_identical_runs;
 
 // A two-hour scenario whose workloads actually move (a step and a random
 // walk), so band exits, predictions, and adaptation all get exercised.
@@ -63,22 +58,7 @@ TEST(DegradedMode, SubsystemIsByteInertOnFaultFreeTraces) {
     mistral_strategy guarded(scn.model, cost::cost_table::paper_defaults());
     mistral_strategy bare(scn.model, cost::cost_table::paper_defaults(),
                           all_degraded_machinery_off());
-    const auto ra = run_scenario(scn, guarded);
-    const auto rb = run_scenario(scn, bare);
-
-    EXPECT_EQ(bits_of(ra.cumulative_utility), bits_of(rb.cumulative_utility));
-    EXPECT_EQ(bits_of(ra.mean_power), bits_of(rb.mean_power));
-    EXPECT_EQ(ra.total_actions, rb.total_actions);
-    EXPECT_EQ(ra.invocations, rb.invocations);
-    const auto* ua = ra.series.find("utility");
-    const auto* ub = rb.series.find("utility");
-    ASSERT_NE(ua, nullptr);
-    ASSERT_NE(ub, nullptr);
-    ASSERT_EQ(ua->size(), ub->size());
-    for (std::size_t i = 0; i < ua->size(); ++i) {
-        ASSERT_EQ(bits_of(ua->samples()[i].value), bits_of(ub->samples()[i].value))
-            << "interval " << i;
-    }
+    expect_identical_runs(run_scenario(scn, guarded), run_scenario(scn, bare));
 
     // And the guarded run never engaged any of the machinery.
     EXPECT_EQ(guarded.controller().mode(), control_mode::full);

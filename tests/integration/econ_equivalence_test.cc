@@ -19,22 +19,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 
 #include "core/coordinator.h"
 #include "core/experiment.h"
 #include "obs/journal.h"
+#include "test_fixtures.h"
 #include "workload/generators.h"
 
 namespace mistral::core {
 namespace {
 
-std::uint64_t bits_of(double v) {
-    std::uint64_t b;
-    static_assert(sizeof b == sizeof v);
-    std::memcpy(&b, &v, sizeof b);
-    return b;
-}
+using test_support::bits_of;
+using test_support::expect_identical_runs;
+using test_support::moving_scenario;
+
+// Seed of the flash-crowd scenario's workload noise.
+constexpr std::uint64_t kTraceSeed = 23;
 
 // All-default econ profile: flat tariff at the paper's price, flat pricing.
 econ_profile flat_profile() {
@@ -43,59 +43,15 @@ econ_profile flat_profile() {
     return p;
 }
 
-// A flash-crowd scenario whose workloads actually move, so band exits,
-// forecasts, and adaptation all get exercised.
-scenario moving_scenario(sim::sensor_fault_options sensors = {},
-                         sim::fault_options testbed_faults = {},
-                         obs::sink* sink = nullptr) {
-    scenario_options opts;
-    opts.host_count = 4;
-    opts.app_count = 2;
-    wl::generator_options gen;
-    gen.duration = 1.5 * 3600.0;
-    gen.seed = 23;
-    gen.noise = 0.02;
-    opts.traces = {wl::flash_crowd_trace("a", 25.0, 85.0, 2400.0, 600.0,
-                                         1200.0, gen),
-                   wl::step_trace("b", 30.0, 55.0, 3000.0, gen)};
-    opts.sensor_faults = sensors;
-    opts.testbed.faults = testbed_faults;
-    opts.sink = sink;
-    return make_rubis_scenario(opts);
-}
-
 controller_options econ_options() {
     controller_options opts;
     opts.econ = flat_profile();
     return opts;
 }
 
-void expect_identical_runs(const run_result& a, const run_result& b) {
-    EXPECT_EQ(bits_of(a.cumulative_utility), bits_of(b.cumulative_utility));
-    EXPECT_EQ(bits_of(a.mean_power), bits_of(b.mean_power));
-    EXPECT_EQ(a.invocations, b.invocations);
-    EXPECT_EQ(a.total_actions, b.total_actions);
-    EXPECT_EQ(a.total_failed_actions, b.total_failed_actions);
-    EXPECT_EQ(bits_of(a.search_duration.mean()),
-              bits_of(b.search_duration.mean()));
-    EXPECT_EQ(bits_of(a.search_duration.max()),
-              bits_of(b.search_duration.max()));
-    EXPECT_EQ(a.violation_fraction, b.violation_fraction);
-    const auto* ua = a.series.find("utility");
-    const auto* ub = b.series.find("utility");
-    ASSERT_NE(ua, nullptr);
-    ASSERT_NE(ub, nullptr);
-    ASSERT_EQ(ua->size(), ub->size());
-    for (std::size_t i = 0; i < ua->size(); ++i) {
-        ASSERT_EQ(bits_of(ua->samples()[i].value),
-                  bits_of(ub->samples()[i].value))
-            << "interval " << i;
-    }
-}
-
 void expect_flat_econ_matches_plain(sim::sensor_fault_options sensors = {},
                                     sim::fault_options testbed_faults = {}) {
-    const auto scn = moving_scenario(sensors, testbed_faults);
+    const auto scn = moving_scenario(kTraceSeed, sensors, testbed_faults);
     const auto costs = cost::cost_table::paper_defaults();
     mistral_strategy econ(scn.model, costs, econ_options());
     mistral_strategy plain(scn.model, costs);
@@ -121,7 +77,7 @@ TEST(EconEquivalence, FlatEconMatchesPlainUnderTestbedFaults) {
 // The per-decision trace compared action-for-action: stronger than the
 // aggregate run comparison because it catches compensating differences.
 TEST(EconEquivalence, FlatEconDecisionTraceIsIdenticalStepByStep) {
-    const auto scn = moving_scenario();
+    const auto scn = moving_scenario(kTraceSeed);
     const auto costs = cost::cost_table::paper_defaults();
     mistral_strategy econ(scn.model, costs, econ_options());
     mistral_strategy plain(scn.model, costs);
@@ -153,7 +109,7 @@ TEST(EconEquivalence, FlatEconDecisionTraceIsIdenticalStepByStep) {
 // profile must still match the plain flat controller — the pod lens and the
 // flat-econ identity compose.
 TEST(EconEquivalence, FlatEconMatchesPlainUnderShardedCoordinator) {
-    const auto scn = moving_scenario();
+    const auto scn = moving_scenario(kTraceSeed);
     const auto costs = cost::cost_table::paper_defaults();
 
     controller_builder builder;
@@ -169,7 +125,7 @@ TEST(EconEquivalence, FlatEconMatchesPlainUnderShardedCoordinator) {
 // econ accounting on (flat profile), cumulative utility is bit-identical and
 // the new $ / gCO2 decomposition is internally consistent.
 TEST(EconEquivalence, FlatEconHarnessAccountingIsConsistent) {
-    auto scn_plain = moving_scenario();
+    auto scn_plain = moving_scenario(kTraceSeed);
     auto scn_econ = scn_plain;
     scn_econ.options.econ = flat_profile();
 
@@ -192,7 +148,7 @@ TEST(EconEquivalence, FlatEconHarnessAccountingIsConsistent) {
 // A moving tariff forces a replan on the block boundary even with perfectly
 // steady workloads, and journals both the change and the econ context.
 TEST(EconEquivalence, TariffChangeTriggersReplanAndJournals) {
-    const auto scn = moving_scenario();
+    const auto scn = moving_scenario(kTraceSeed);
     const auto costs = cost::cost_table::paper_defaults();
 
     obs::memory_sink journal;
@@ -231,7 +187,7 @@ TEST(EconEquivalence, TariffChangeTriggersReplanAndJournals) {
 // A stepped power-cap schedule tracks into the searches' terminal gate:
 // normal cap, emergency cap, back to normal.
 TEST(EconEquivalence, PowerCapScheduleTracksTheSchedule) {
-    const auto scn = moving_scenario();
+    const auto scn = moving_scenario(kTraceSeed);
     const auto costs = cost::cost_table::paper_defaults();
 
     controller_options opts;

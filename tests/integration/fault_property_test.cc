@@ -33,10 +33,10 @@
 #include <string>
 #include <vector>
 
-#include "apps/rubis.h"
 #include "common/rng.h"
 #include "core/controller.h"
 #include "sim/testbed.h"
+#include "test_fixtures.h"
 
 #ifndef MISTRAL_FAULT_EPISODES
 #define MISTRAL_FAULT_EPISODES 200
@@ -45,31 +45,8 @@
 namespace mistral {
 namespace {
 
-cluster::cluster_model make_model(std::size_t hosts, std::size_t apps) {
-    std::vector<apps::application_spec> specs;
-    for (std::size_t a = 0; a < apps; ++a) {
-        specs.push_back(apps::rubis_browsing("R" + std::to_string(a)));
-    }
-    return cluster::cluster_model(cluster::uniform_hosts(hosts), std::move(specs));
-}
-
-cluster::configuration base_config(const cluster::cluster_model& model) {
-    cluster::configuration c(model.vm_count(), model.host_count());
-    for (std::size_t h = 0; h < model.host_count(); ++h) {
-        c.set_host_power(host_id{static_cast<std::int32_t>(h)}, true);
-    }
-    const std::size_t per_app =
-        std::max<std::size_t>(1, model.host_count() / model.app_count());
-    for (std::size_t a = 0; a < model.app_count(); ++a) {
-        const app_id app{static_cast<std::int32_t>(a)};
-        for (std::size_t t = 0; t < model.app(app).tier_count(); ++t) {
-            const std::size_t h = (a * per_app + t % per_app) % model.host_count();
-            c.deploy(model.tier_vms(app, t)[0],
-                     host_id{static_cast<std::int32_t>(h)}, 0.4);
-        }
-    }
-    return c;
-}
+using test_support::make_model;
+using test_support::base_config;
 
 constexpr seconds kInterval = 120.0;
 constexpr int kIntervals = 12;

@@ -18,43 +18,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 
 #include "core/coordinator.h"
 #include "core/experiment.h"
 #include "obs/journal.h"
-#include "workload/generators.h"
+#include "test_fixtures.h"
 
 namespace mistral::core {
 namespace {
 
-std::uint64_t bits_of(double v) {
-    std::uint64_t b;
-    static_assert(sizeof b == sizeof v);
-    std::memcpy(&b, &v, sizeof b);
-    return b;
-}
+using test_support::bits_of;
+using test_support::expect_identical_runs;
+using test_support::moving_scenario;
 
-// A flash-crowd scenario whose workloads actually move, so band exits,
-// forecasts, and adaptation all get exercised.
-scenario moving_scenario(sim::sensor_fault_options sensors = {},
-                         sim::fault_options testbed_faults = {},
-                         obs::sink* sink = nullptr) {
-    scenario_options opts;
-    opts.host_count = 4;
-    opts.app_count = 2;
-    wl::generator_options gen;
-    gen.duration = 1.5 * 3600.0;
-    gen.seed = 11;
-    gen.noise = 0.02;
-    opts.traces = {wl::flash_crowd_trace("a", 25.0, 85.0, 2400.0, 600.0,
-                                         1200.0, gen),
-                   wl::step_trace("b", 30.0, 55.0, 3000.0, gen)};
-    opts.sensor_faults = sensors;
-    opts.testbed.faults = testbed_faults;
-    opts.sink = sink;
-    return make_rubis_scenario(opts);
-}
+// Seed of the flash-crowd scenario's workload noise.
+constexpr std::uint64_t kTraceSeed = 11;
 
 controller_options with_lookahead(int horizon) {
     controller_options opts;
@@ -63,32 +41,9 @@ controller_options with_lookahead(int horizon) {
     return opts;
 }
 
-void expect_identical_runs(const run_result& a, const run_result& b) {
-    EXPECT_EQ(bits_of(a.cumulative_utility), bits_of(b.cumulative_utility));
-    EXPECT_EQ(bits_of(a.mean_power), bits_of(b.mean_power));
-    EXPECT_EQ(a.invocations, b.invocations);
-    EXPECT_EQ(a.total_actions, b.total_actions);
-    EXPECT_EQ(a.total_failed_actions, b.total_failed_actions);
-    EXPECT_EQ(bits_of(a.search_duration.mean()),
-              bits_of(b.search_duration.mean()));
-    EXPECT_EQ(bits_of(a.search_duration.max()),
-              bits_of(b.search_duration.max()));
-    EXPECT_EQ(a.violation_fraction, b.violation_fraction);
-    const auto* ua = a.series.find("utility");
-    const auto* ub = b.series.find("utility");
-    ASSERT_NE(ua, nullptr);
-    ASSERT_NE(ub, nullptr);
-    ASSERT_EQ(ua->size(), ub->size());
-    for (std::size_t i = 0; i < ua->size(); ++i) {
-        ASSERT_EQ(bits_of(ua->samples()[i].value),
-                  bits_of(ub->samples()[i].value))
-            << "interval " << i;
-    }
-}
-
 void expect_k1_matches_flat(sim::sensor_fault_options sensors = {},
                             sim::fault_options testbed_faults = {}) {
-    const auto scn = moving_scenario(sensors, testbed_faults);
+    const auto scn = moving_scenario(kTraceSeed, sensors, testbed_faults);
     const auto costs = cost::cost_table::paper_defaults();
     mistral_strategy lookahead(scn.model, costs, with_lookahead(1));
     mistral_strategy flat(scn.model, costs);
@@ -117,7 +72,7 @@ TEST(LookaheadEquivalence, K1MatchesFlatUnderTestbedFaults) {
 // The control-mode label is intentionally excluded — it is the one
 // observable allowed to differ (lookahead vs full).
 TEST(LookaheadEquivalence, K1DecisionTraceIsIdenticalStepByStep) {
-    const auto scn = moving_scenario();
+    const auto scn = moving_scenario(kTraceSeed);
     const auto costs = cost::cost_table::paper_defaults();
     mistral_strategy look(scn.model, costs, with_lookahead(1));
     mistral_strategy flat(scn.model, costs);
@@ -153,7 +108,7 @@ TEST(LookaheadEquivalence, K1DecisionTraceIsIdenticalStepByStep) {
 // K=1 must still match the flat single-interval controller — the pod lens
 // and the planner identity compose.
 TEST(LookaheadEquivalence, K1MatchesFlatUnderShardedCoordinator) {
-    const auto scn = moving_scenario();
+    const auto scn = moving_scenario(kTraceSeed);
     const auto costs = cost::cost_table::paper_defaults();
 
     controller_builder builder;
@@ -168,7 +123,7 @@ TEST(LookaheadEquivalence, K1MatchesFlatUnderShardedCoordinator) {
 // K > 1 has no flat twin, but it must be a pure function of the scenario:
 // bit-identical across repeated runs.
 TEST(LookaheadEquivalence, K3DeterministicAcrossRunsAndThreads) {
-    const auto scn = moving_scenario();
+    const auto scn = moving_scenario(kTraceSeed);
     const auto costs = cost::cost_table::paper_defaults();
 
     mistral_strategy first(scn.model, costs, with_lookahead(3));
@@ -183,7 +138,7 @@ TEST(LookaheadEquivalence, K3DeterministicAcrossRunsAndThreads) {
 // lookahead rung.
 TEST(LookaheadEquivalence, K3JournalsPlansAndHoldsTheTopRung) {
     obs::memory_sink journal;
-    const auto scn = moving_scenario({}, {}, &journal);
+    const auto scn = moving_scenario(kTraceSeed, {}, {}, &journal);
     const auto costs = cost::cost_table::paper_defaults();
     controller_options opts = with_lookahead(3);
     opts.sink = &journal;

@@ -177,14 +177,16 @@ TEST(Observability, SearchProfilesAreInternallyConsistent) {
         // second is attributed to some depth.
         EXPECT_NEAR(attributed, e.find("duration")->num, 1e-9);
         EXPECT_EQ(e.find("meter")->text, "model_clock");
-        const double hits = static_cast<double>(e.find("eval_hits")->integer);
-        const double misses =
-            static_cast<double>(e.find("eval_misses")->integer);
-        const double rate = e.find("memo_hit_rate")->num;
-        if (hits + misses > 0.0) {
-            EXPECT_NEAR(rate, hits / (hits + misses), 1e-12);
-        } else {
-            EXPECT_EQ(rate, 0.0);
+        // The search's own power cost is its meter time priced at the
+        // meter's (positive) draw: nonzero exactly when time was charged.
+        const double power_cost = e.find("power_cost")->num;
+        EXPECT_GE(power_cost, 0.0);
+        EXPECT_EQ(power_cost > 0.0, e.find("duration")->num > 0.0);
+        // No decision memo or evaluation threads exist, so the event carries
+        // none of their fields.
+        for (const char* gone :
+             {"active_seconds", "eval_hits", "eval_misses", "memo_hit_rate"}) {
+            EXPECT_EQ(e.find(gone), nullptr) << gone;
         }
     }
     EXPECT_GT(searches, 0u);

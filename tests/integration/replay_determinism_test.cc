@@ -1,9 +1,12 @@
-// Differential determinism under fault injection.
+// Replay determinism under fault injection.
 //
-// The same seed and fault schedule must produce a bit-identical
-// decision-and-measurement trace on every replay: faults are drawn from
-// their own forked RNG stream keyed only by the action sequence, so nothing
-// outside the seed may leak into a decision.
+// The same seed, workload and fault schedule — host crashes included — must
+// produce a bit-identical decision-and-measurement trace on every replay.
+// Faults are drawn from their own forked RNG stream keyed only by the action
+// sequence, and the per-app sub-solve cache, whose LRU state persists across
+// decisions, is a deterministic function of that sequence, so nothing outside
+// the seed may leak into a decision. (That cached values equal whole solves
+// is checked per evaluation by EvaluatorTest.DeltaEvaluationIsBitIdenticalToFull.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,50 +15,39 @@
 #include <string>
 #include <vector>
 
-#include "apps/rubis.h"
 #include "common/rng.h"
 #include "core/controller.h"
 #include "sim/testbed.h"
+#include "test_fixtures.h"
 
 namespace mistral {
 namespace {
 
-cluster::cluster_model make_model(std::size_t hosts, std::size_t apps) {
-    std::vector<apps::application_spec> specs;
-    for (std::size_t a = 0; a < apps; ++a) {
-        specs.push_back(apps::rubis_browsing("R" + std::to_string(a)));
-    }
-    return cluster::cluster_model(cluster::uniform_hosts(hosts), std::move(specs));
-}
+using test_support::base_config;
+using test_support::make_model;
 
-cluster::configuration base_config(const cluster::cluster_model& model) {
-    cluster::configuration c(model.vm_count(), model.host_count());
-    for (std::size_t h = 0; h < model.host_count(); ++h) {
-        c.set_host_power(host_id{static_cast<std::int32_t>(h)}, true);
-    }
-    const std::size_t per_app =
-        std::max<std::size_t>(1, model.host_count() / model.app_count());
-    for (std::size_t a = 0; a < model.app_count(); ++a) {
-        const app_id app{static_cast<std::int32_t>(a)};
-        for (std::size_t t = 0; t < model.app(app).tier_count(); ++t) {
-            const std::size_t h = (a * per_app + t % per_app) % model.host_count();
-            c.deploy(model.tier_vms(app, t)[0],
-                     host_id{static_cast<std::int32_t>(h)}, 0.4);
-        }
-    }
-    return c;
-}
+// One replayed run: the cluster, the seeds, the per-kind action failure and
+// straggler probability, and the salt of the workload stream.
+struct replay_case {
+    std::size_t hosts;
+    std::size_t apps;
+    std::vector<std::uint64_t> seeds;
+    double fault_probability;
+    std::uint64_t workload_salt;
+};
 
 // One line per interval capturing everything a nondeterminism could
 // perturb: decision flags, the exact action strings, the bit pattern of the
-// expected utility, the configuration hash, and the fault notices.
-std::string run_trace(const cluster::cluster_model& model, std::uint64_t seed) {
+// expected utility, the configuration hash after actuation and faults, and
+// the fault notices; then the controller's reconciliation totals.
+std::string run_trace(const cluster::cluster_model& model, const replay_case& rc,
+                      std::uint64_t seed) {
     sim::testbed_options tb_opts;
     tb_opts.seed = seed;
     auto& f = tb_opts.faults;
     for (std::size_t k = 0; k < sim::action_kind_count; ++k) {
-        f.failure_probability[k] = 0.3;
-        f.straggler_probability[k] = 0.3;
+        f.failure_probability[k] = rc.fault_probability;
+        f.straggler_probability[k] = rc.fault_probability;
     }
     f.host_crashes.push_back({.at = 400.0, .host = 2, .recover_after = 300.0});
     sim::testbed tb(model, base_config(model), tb_opts);
@@ -64,7 +56,7 @@ std::string run_trace(const cluster::cluster_model& model, std::uint64_t seed) {
     opts.search.max_expansions = 80;
     core::mistral_controller ctl(model, cost::cost_table::paper_defaults(), opts);
 
-    rng workload(seed ^ 0x777ULL);
+    rng workload(seed ^ rc.workload_salt);
     std::ostringstream trace;
     trace.precision(17);
     std::vector<cluster::action> pending_failed;
@@ -117,17 +109,32 @@ std::string run_trace(const cluster::cluster_model& model, std::uint64_t seed) {
     return trace.str();
 }
 
-// The same run repeated with identical settings replays bit-identically —
-// the determinism the resumable harness and the episode seeds rely on.
-TEST(FaultDeterminism, SameSeedReplaysBitIdentically) {
-    const auto model = make_model(3, 1);
-    for (const std::uint64_t seed : {11ull, 21ull}) {
-        const auto trace = run_trace(model, seed);
-        EXPECT_EQ(trace, run_trace(model, seed)) << "seed " << seed;
-        // The schedule must actually exercise faults for the comparison to
-        // mean anything.
-        EXPECT_NE(trace.find("failed="), std::string::npos) << "seed " << seed;
+// Replays `rc` twice per seed and requires bit-identical traces. The
+// schedule must actually exercise faults for the comparison to mean
+// anything: the host crash fires and some action fails.
+void expect_replays_bit_identically(const replay_case& rc) {
+    const auto model = make_model(rc.hosts, rc.apps);
+    for (const std::uint64_t seed : rc.seeds) {
+        const auto trace = run_trace(model, rc, seed);
+        EXPECT_EQ(trace, run_trace(model, rc, seed)) << "seed " << seed;
+        EXPECT_NE(trace.find(" down=1 "), std::string::npos) << "seed " << seed;
+        EXPECT_EQ(trace.find("failed_total=0 "), std::string::npos)
+            << "seed " << seed;
     }
+}
+
+// Replays of the same run are bit-identical on a 4-host/2-app cluster at
+// 25 % action faults — the app cache's LRU state is a deterministic function
+// of the action sequence.
+TEST(DeltaEval, DeltaOnReplaysBitIdentically) {
+    expect_replays_bit_identically({4, 2, {5, 9}, 0.25, 0x5a5aULL});
+}
+
+// The same run repeated with identical settings replays bit-identically on a
+// 3-host/1-app cluster at 30 % action faults — the determinism the
+// resumable harness and the episode seeds rely on.
+TEST(FaultDeterminism, SameSeedReplaysBitIdentically) {
+    expect_replays_bit_identically({3, 1, {11, 21}, 0.3, 0x777ULL});
 }
 
 }  // namespace
