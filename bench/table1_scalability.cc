@@ -14,8 +14,8 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "core/coordinator.h"
 #include "core/perf_pwr.h"
+#include "core/two_level.h"
 #include "obs/journal.h"
 
 using namespace mistral;
@@ -34,21 +34,6 @@ std::vector<std::vector<std::size_t>> split_hosts(std::size_t hosts,
     for (std::size_t h = 0; h < hosts; ++h) out[h * groups / hosts].push_back(h);
     return out;
 }
-
-// Journal off, metrics on: the pods register their per-pod histograms in
-// `registry` without perturbing decisions.
-class metrics_sink final : public mistral::obs::sink {
-public:
-    explicit metrics_sink(mistral::obs::metrics_registry* r) : registry_(r) {}
-    [[nodiscard]] bool enabled() const override { return false; }
-    void record(const mistral::obs::event&) override {}
-    [[nodiscard]] mistral::obs::metrics_registry* metrics() override {
-        return registry_;
-    }
-
-private:
-    mistral::obs::metrics_registry* registry_;
-};
 
 const std::vector<double> kSearchBounds = {0.05, 0.1,  0.25, 0.5, 1.0,
                                            2.5,  5.0,  10.0, 30.0};
@@ -98,13 +83,13 @@ int main() {
             {.host_count = row.hosts, .app_count = row.apps});
 
         // Self-aware hierarchical run over the full day.
+        // Journal off, metrics on: the level-1 and escalation controllers
+        // register their search histograms without perturbing decisions.
         obs::metrics_registry registry;
-        metrics_sink sink(&registry);
+        obs::null_sink sink(&registry);
         core::controller_builder builder;
         builder.sink(&sink);
-        core::global_coordinator mistral(scn.model, costs,
-                                         core::level1_pods(row.groups),
-                                         builder);
+        core::two_level_controller mistral(scn.model, costs, row.groups, builder);
         const auto r = core::run_scenario(scn, mistral);
 
         // Naive variant: same hierarchy, pruning and early stop disabled.
@@ -114,9 +99,8 @@ int main() {
         naive_builder.self_aware(false).tweak([](core::controller_options& o) {
             o.search.max_expansions = 1500;
         });
-        core::global_coordinator naive(scn.model, costs,
-                                       core::level1_pods(row.groups),
-                                       naive_builder);
+        core::two_level_controller naive(scn.model, costs, row.groups,
+                                         naive_builder);
         auto short_scn = scn;
         const seconds t0 = scn.traces[0].start_time();
         std::vector<wl::trace> short_traces;

@@ -1,19 +1,21 @@
 // Two-level hierarchical control (Sections II-C, V-E).
 //
-// Three applications on six hosts, managed by two first-level controllers
-// (one per 3-host pod; band 0, CPU tuning + intra-pod migration only) under
-// one second-level controller (band 8 req/s, full action set). The example
-// contrasts the levels' behaviour: the first level fires nearly every
-// interval with quick small refinements, the second level fires rarely with
-// cluster-wide reconfigurations. Per-level statistics come from the pods'
-// obs metrics (mistral_pod_*), not bespoke accessors.
+// Three applications on six hosts, managed by core::two_level_controller:
+// two first-level controllers (one per 3-host group; band 0, CPU tuning +
+// intra-group migration only) under one second-level controller (band
+// 8 req/s, full action set). The example contrasts the levels' behaviour:
+// the first level fires nearly every interval with quick small refinements,
+// the second level fires rarely with cluster-wide reconfigurations.
+// Per-level statistics come from the controllers' obs metrics
+// (mistral_pod_<group>_* and mistral_pod_global_*), read through a
+// metrics-only sink.
 //
 // Build & run:  ./build/examples/hierarchy
 #include <iostream>
 
 #include "common/table_printer.h"
-#include "core/coordinator.h"
 #include "core/experiment.h"
+#include "core/two_level.h"
 #include "cost/table.h"
 #include "obs/journal.h"
 
@@ -26,23 +28,14 @@ int main() {
 
     obs::metrics_registry registry;
     // Journal off, metrics on: decisions stay byte-identical to the
-    // uninstrumented run while the pods still register their counters.
-    class metrics_sink final : public obs::sink {
-    public:
-        explicit metrics_sink(obs::metrics_registry* r) : registry_(r) {}
-        [[nodiscard]] bool enabled() const override { return false; }
-        void record(const obs::event&) override {}
-        [[nodiscard]] obs::metrics_registry* metrics() override { return registry_; }
-
-    private:
-        obs::metrics_registry* registry_;
-    } sink(&registry);
+    // uninstrumented run while the controllers still register their metrics.
+    obs::null_sink sink(&registry);
 
     core::controller_builder builder;
     builder.sink(&sink);
-    core::global_coordinator controller(
-        scn.model, cost::cost_table::paper_defaults(),
-        core::level1_pods({{0, 1, 2}, {3, 4, 5}}), builder);
+    core::two_level_controller controller(scn.model,
+                                          cost::cost_table::paper_defaults(),
+                                          {{0, 1, 2}, {3, 4, 5}}, builder);
     const auto r = core::run_scenario(scn, controller);
 
     // Registration is idempotent: re-registering a name hands back the live

@@ -77,11 +77,9 @@ controller_builder& controller_builder::pod(
 
 controller_options controller_builder::build() const { return base_; }
 
-controller_options controller_builder::build_for(const pod_spec& spec) const {
+controller_options controller_builder::build_for(std::size_t pod_id) const {
     controller_options opts = base_;
-    if (spec.band) opts.band_width = *spec.band;
-    if (spec.menu) opts.search.menu = *spec.menu;
-    if (const auto it = pod_overrides_.find(spec.id); it != pod_overrides_.end()) {
+    if (const auto it = pod_overrides_.find(pod_id); it != pod_overrides_.end()) {
         it->second(opts);
     }
     return opts;

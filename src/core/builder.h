@@ -6,11 +6,12 @@
 // band width here, sink there, meter step in a third place. The builder
 // collapses that sprawl into a single fluent surface with two escape
 // hatches — `tweak()` for any field without a dedicated setter, and
-// `pod(id, fn)` for per-pod overrides applied on top of the pod_spec's own
-// band/menu when building a sharded or two-level controller.
+// `pod(id, fn)` for per-pod overrides: of sharded pod `id`'s options, or of
+// level-1 controller `id`'s in the two-level hierarchy (core/two_level.h),
+// which layers its fixed level-1 shape on the base first.
 //
 // Layering, lowest precedence first:
-//   base options  →  pod_spec band/menu  →  pod(id, fn) override.
+//   base options  →  (two-level: level-1 shape)  →  pod(id, fn) override.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +20,6 @@
 #include <memory>
 
 #include "core/controller.h"
-#include "core/pods.h"
 #include "core/search_meter.h"
 
 namespace mistral::core {
@@ -50,18 +50,19 @@ public:
 
     // Escape hatch: arbitrary mutation of the assembled base options.
     controller_builder& tweak(const std::function<void(controller_options&)>& fn);
-    // Per-pod override, applied after the pod_spec's band/menu when this
-    // builder configures pod `id` of a partition. Repeated registrations for
-    // the same pod compose in order (each sees the previous one's result).
+    // Per-pod override, applied last when this builder configures pod `id`
+    // (a partition's pod, or a two-level hierarchy's level-1 group).
+    // Repeated registrations for the same pod compose in order (each sees
+    // the previous one's result).
     controller_builder& pod(std::size_t id,
                             const std::function<void(controller_options&)>& fn);
 
     // ---- products --------------------------------------------------------
     // The assembled base options (tweaks applied, pod overrides not).
     [[nodiscard]] controller_options build() const;
-    // Options for one pod: base, then the spec's band/menu, then the pod
-    // override registered for spec.id (if any).
-    [[nodiscard]] controller_options build_for(const pod_spec& spec) const;
+    // Options for one pod: base, then the override registered for `pod_id`
+    // (if any).
+    [[nodiscard]] controller_options build_for(std::size_t pod_id) const;
     // A fresh deterministic meter matching meter_step().
     [[nodiscard]] std::unique_ptr<search_meter> make_meter() const;
     // A flat controller over the whole cluster from the base options.

@@ -35,6 +35,10 @@ utility_model make_bound_utility(const controller_options& options) {
 // everything else (menu, scopes, evaluation tuning) matches the main search.
 constexpr std::size_t greedy_max_expansions = 64;
 
+// Consecutive fault-triggered replans allowed before the controller waits
+// for the regular band trigger (reconcile_options).
+constexpr int max_fault_replans = 3;
+
 search_options greedy_rung_options(const controller_options& options) {
     search_options out = options.search;
     out.max_plan_actions = 1;
@@ -88,9 +92,6 @@ mistral_controller::mistral_controller(const cluster::cluster_model& model,
     MISTRAL_CHECK(options_.max_control_window >= options_.min_control_window);
     MISTRAL_CHECK(options_.band_width >= 0.0);
     MISTRAL_CHECK(options_.utility_history >= 1);
-    MISTRAL_CHECK(options_.reconcile.max_retries >= 0);
-    MISTRAL_CHECK(options_.reconcile.base_backoff >= 0.0);
-    MISTRAL_CHECK(options_.reconcile.backoff_factor >= 1.0);
     MISTRAL_CHECK(options_.degraded.promote_after >= 1);
     MISTRAL_CHECK(options_.degraded.search_deadline_fraction > 0.0);
     predictors_.reserve(model.app_count());
@@ -240,7 +241,6 @@ controller_state mistral_controller::export_state() const {
     s.rstats = rstats_;
     s.intended = intended_;
     s.fault_rounds = fault_rounds_;
-    s.backoff_until = backoff_until_;
     s.mode = mode_;
     s.clean_steps = clean_steps_;
     s.deadline_tripped = deadline_tripped_;
@@ -272,7 +272,6 @@ void mistral_controller::import_state(const controller_state& s, seconds now) {
     rstats_ = s.rstats;
     intended_ = s.intended;
     fault_rounds_ = s.fault_rounds;
-    backoff_until_ = s.backoff_until;
     mode_ = s.mode;
     clean_steps_ = s.clean_steps;
     deadline_tripped_ = s.deadline_tripped;
@@ -437,7 +436,6 @@ controller_decision mistral_controller::step(const decision_input& in) {
         }
     }
 
-    const auto& rec = options_.reconcile;
     account_faults(in, rates);
     const bool fault_signal = !in.failed.empty() || !in.hosts_failed.empty() ||
                               !in.hosts_recovered.empty();
@@ -457,7 +455,8 @@ controller_decision mistral_controller::step(const decision_input& in) {
     // harness's documented controller mutation: plan from what the last
     // decision intended instead of what the executor reports.
     const cluster::configuration& base =
-        (rec.plan_against_actual || !intended_) ? in.current : *intended_;
+        (options_.reconcile.plan_against_actual || !intended_) ? in.current
+                                                               : *intended_;
     if (intended_ && !(*intended_ == in.current)) {
         ++rstats_.drift_intervals;
         drift = true;
@@ -523,16 +522,14 @@ controller_decision mistral_controller::step(const decision_input& in) {
     decision.mode = mode_;
 
     // A fault signal forces a replan even inside the workload band, bounded
-    // by max_retries consecutive rounds with geometric backoff between them.
+    // by max_fault_replans consecutive rounds.
     // On the hold rung fault replans are suppressed too: replanning is
     // exactly the adaptation an untrusted predictor cannot justify (the
     // structural-repair path above already handled safety).
     bool force = false;
     if (mode_ != control_mode::hold && fault_signal &&
-        now + 1e-9 >= backoff_until_ && fault_rounds_ < rec.max_retries) {
+        fault_rounds_ < max_fault_replans) {
         force = true;
-        backoff_until_ =
-            now + rec.base_backoff * std::pow(rec.backoff_factor, fault_rounds_);
         ++fault_rounds_;
         ++rstats_.fault_replans;
         obs_fault_replans_.add();

@@ -34,17 +34,10 @@ namespace mistral::core {
 // Self-healing under fault injection: how the controller reconciles what it
 // intended with what the testbed reports actually happened.
 // Reconciliation is always on: structural repair after host crashes and
-// fault-triggered replans.
+// fault-triggered replans, at most three in a row (a persistently failing
+// action must not re-submit forever; after that the controller waits for
+// the regular band trigger).
 struct reconcile_options {
-    // At most this many consecutive fault-triggered replans; after that the
-    // controller waits for the regular band trigger (a persistently failing
-    // action must not re-submit forever).
-    int max_retries = 3;
-    // Hold-off before the next fault-triggered replan grows geometrically:
-    // base_backoff · backoff_factor^(consecutive fault rounds). The default
-    // base of 0 disables the delay while keeping retries bounded.
-    seconds base_backoff = 0.0;
-    double backoff_factor = 2.0;
     // Plan from the *actual* observed configuration. Setting this to false
     // is a deliberate controller mutation for the invariant harness: the
     // controller then plans from the configuration it last intended, and the
@@ -234,7 +227,6 @@ struct controller_state {
     reconcile_stats rstats;
     std::optional<cluster::configuration> intended;
     int fault_rounds = 0;
-    seconds backoff_until = 0.0;
     control_mode mode = control_mode::full;
     int clean_steps = 0;
     bool deadline_tripped = false;
@@ -323,7 +315,6 @@ private:
     reconcile_stats rstats_;
     std::optional<cluster::configuration> intended_;  // where the last plan lands
     int fault_rounds_ = 0;          // consecutive fault-triggered replans
-    seconds backoff_until_ = 0.0;   // no fault-triggered replan before this
 
     // Degraded-mode (fallback ladder) state.
     control_mode mode_ = control_mode::full;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -18,23 +16,6 @@ namespace {
 // Share of a pod's unused saturated draw its budget demand claims at full
 // pressure (see redistribute).
 constexpr double grow_margin = 0.5;
-
-void validate_level1(const cluster::cluster_model& model,
-                     const std::vector<pod_spec>& pods) {
-    MISTRAL_CHECK_MSG(!pods.empty(), "two-level mode needs level-1 pods");
-    std::vector<bool> claimed(model.host_count(), false);
-    for (std::size_t i = 0; i < pods.size(); ++i) {
-        MISTRAL_CHECK_MSG(pods[i].id == i, "pod ids must be sequential from 0");
-        MISTRAL_CHECK_MSG(!pods[i].hosts.empty(),
-                          "pod " << i << " owns no hosts");
-        for (const std::size_t h : pods[i].hosts) {
-            MISTRAL_CHECK_MSG(h < model.host_count(),
-                              "pod " << i << " references unknown host " << h);
-            MISTRAL_CHECK_MSG(!claimed[h], "host groups must be disjoint");
-            claimed[h] = true;
-        }
-    }
-}
 
 // Deterministic first-fit placement of every deployed VM of `app` not
 // already inside `hosts` onto `hosts` (ascending), requiring the result to
@@ -83,8 +64,6 @@ global_coordinator::global_coordinator(const cluster::cluster_model& model,
       costs_(std::move(costs)),
       builder_(std::move(builder)),
       options_(std::move(options)),
-      name_("Mistral-Pods"),
-      sharded_(true),
       specs_(parts.pods()) {
     MISTRAL_CHECK(options_.power_budget > 0.0);
     MISTRAL_CHECK(options_.max_brokered_moves >= 0);
@@ -128,53 +107,6 @@ global_coordinator::global_coordinator(const cluster::cluster_model& model,
     }
 }
 
-global_coordinator::global_coordinator(const cluster::cluster_model& model,
-                                       cost::cost_table costs,
-                                       std::vector<pod_spec> level1,
-                                       controller_builder builder,
-                                       coordinator_options options)
-    : model_(&model),
-      costs_(std::move(costs)),
-      builder_(std::move(builder)),
-      options_(std::move(options)),
-      name_("Mistral-2L"),
-      sharded_(false) {
-    MISTRAL_CHECK_MSG(options_.regions.empty(),
-                      "regions are a sharded-mode feature");
-    MISTRAL_CHECK_MSG(!options_.budget_schedule,
-                      "budget schedules are a sharded-mode feature");
-    MISTRAL_CHECK_MSG(!options_.pod_fault_hook &&
-                          !std::isfinite(options_.pod_deadline),
-                      "control-plane fault tolerance is a sharded-mode feature");
-    validate_level1(model, level1);
-    for (auto& spec : level1) {
-        pods_.push_back(std::make_unique<pod_controller>(
-            model, costs_, std::move(spec), std::vector<std::size_t>{},
-            builder_, pod_lens::scoped));
-    }
-    controller_options esc = builder_.build();
-    esc.band_width = options_.escalation_band;
-    escalation_ = std::make_unique<mistral_controller>(model, costs_, esc,
-                                                       builder_.make_meter());
-    sink_ = esc.sink;
-    if (auto* reg = obs::metrics_of(sink_)) {
-        obs_escalations_ = reg->register_counter(
-            "mistral_pod_global_decisions_total",
-            "Invoked decisions made by the escalation controller");
-        obs_escalation_actions_ = reg->register_counter(
-            "mistral_pod_global_actions_total",
-            "Actions emitted by escalation decisions");
-        obs_escalation_seconds_ = reg->register_histogram(
-            "mistral_pod_global_search_seconds",
-            {0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0},
-            "Meter-elapsed search duration of invoked escalation decisions");
-    }
-}
-
-strategy::outcome global_coordinator::decide(const decision_input& in) {
-    return sharded_ ? decide_sharded(in) : decide_two_level(in);
-}
-
 void global_coordinator::ensure_pods(const cluster::configuration& current) {
     if (!pods_.empty()) return;
     const partition parts(*model_, specs_);
@@ -189,13 +121,11 @@ void global_coordinator::ensure_pods(const cluster::configuration& current) {
     }
     for (std::size_t i = 0; i < specs_.size(); ++i) {
         pods_.push_back(std::make_unique<pod_controller>(
-            *model_, costs_, specs_[i], std::move(per_pod[i]), builder_,
-            pod_lens::sharded));
+            *model_, costs_, specs_[i], std::move(per_pod[i]), builder_));
     }
 }
 
 coordinator_state global_coordinator::export_state() const {
-    MISTRAL_CHECK_MSG(sharded_, "checkpointing is a sharded-mode feature");
     coordinator_state s;
     s.pods.reserve(pods_.size());
     for (const auto& pod : pods_) s.pods.push_back(pod->export_state());
@@ -208,7 +138,6 @@ coordinator_state global_coordinator::export_state() const {
 }
 
 void global_coordinator::import_state(const coordinator_state& s, seconds now) {
-    MISTRAL_CHECK_MSG(sharded_, "checkpointing is a sharded-mode feature");
     pods_.clear();
     host_pod_.clear();
     if (!s.pods.empty()) {
@@ -223,8 +152,7 @@ void global_coordinator::import_state(const coordinator_state& s, seconds now) {
         }
         for (std::size_t i = 0; i < specs_.size(); ++i) {
             pods_.push_back(std::make_unique<pod_controller>(
-                *model_, costs_, specs_[i], s.pods[i].apps, builder_,
-                pod_lens::sharded));
+                *model_, costs_, specs_[i], s.pods[i].apps, builder_));
             pods_[i]->import_state(s.pods[i], now);
         }
     }
@@ -416,100 +344,7 @@ void global_coordinator::redistribute_budgets(const decision_input& in,
     }
 }
 
-void global_coordinator::emit_pod_decision(const pod_controller* pod,
-                                           const pod_outcome& po,
-                                           const cluster::configuration& at,
-                                           seconds now) const {
-    if (!obs::journaling(sink_)) return;
-    std::vector<std::size_t> every_host;
-    if (pod == nullptr) {
-        every_host.resize(model_->host_count());
-        std::iota(every_host.begin(), every_host.end(), std::size_t{0});
-    }
-    const pod_report r =
-        headroom_report(*model_, at, pod ? pod->spec().hosts : every_host);
-    const watts budget =
-        pod ? pod->budget() : std::numeric_limits<watts>::infinity();
-    obs::event e("pod_decision", now);
-    e.integer("pod", pod ? static_cast<std::int64_t>(pod->spec().id) : -1)
-        .text("level", pod ? "pod" : "global")
-        .boolean("invoked", po.invoked)
-        .integer("actions", static_cast<std::int64_t>(po.actions.size()))
-        .num("duration", po.decision.stats.duration)
-        .integer("expansions",
-                 static_cast<std::int64_t>(po.decision.stats.expansions))
-        .integer("generated",
-                 static_cast<std::int64_t>(po.decision.stats.generated))
-        .num("expected_utility", po.decision.expected_utility)
-        // JSON has no infinity; -1 marks an uncapped pod.
-        .num("budget_watts", std::isfinite(budget) ? budget : -1.0)
-        .num("draw_watts", r.draw)
-        .num("pressure", r.pressure)
-        .text("mode", to_string(po.decision.mode));
-    sink_->record(e);
-}
-
-strategy::outcome global_coordinator::decide_two_level(const decision_input& in) {
-    outcome out;
-
-    const auto d2 = escalation_->step(in);
-    if (d2.invoked) {
-        obs_escalations_.add();
-        obs_escalation_actions_.add(static_cast<std::int64_t>(d2.actions.size()));
-        obs_escalation_seconds_.observe(d2.stats.duration);
-        if (obs::journaling(sink_)) {
-            emit_pod_decision(
-                nullptr, {.invoked = true, .actions = d2.actions, .decision = d2},
-                in.current, in.now);
-        }
-        // An invoked search costs time and power whether or not a plan came
-        // back; self-aware accounting keeps the empty-plan case on the books.
-        out.invoked = true;
-        out.decision_delay = d2.stats.duration;
-        out.decision_power_cost = d2.stats.search_power_cost;
-        out.stats.merge(d2.stats);
-        if (!d2.actions.empty()) {
-            // The escalation's reconfiguration preempts pod refinements for
-            // this interval (they would race the larger change).
-            out.actions = d2.actions;
-            out.stats = d2.stats;
-            return out;
-        }
-    }
-
-    // Level-1 pods refine sequentially over a shared probe; their disjoint
-    // scopes keep sibling plans composable, and since they run concurrently
-    // in the model the decision delay is the slowest pod, not the sum —
-    // added to the escalation search's duration when one preceded them.
-    cluster::configuration probe = in.current;
-    seconds pod_delay = 0.0;
-    for (auto& pod : pods_) {
-        decision_input step_in;
-        step_in.now = in.now;
-        step_in.rates = in.rates;
-        step_in.current = probe;
-        step_in.last_interval_utility = in.last_interval_utility;
-        const auto po = pod->step(step_in);
-        emit_pod_decision(pod.get(), po, probe, in.now);
-        if (!po.invoked) continue;
-        out.invoked = true;
-        pod_delay = std::max(pod_delay, po.decision.stats.duration);
-        out.decision_power_cost += po.decision.stats.search_power_cost;
-        out.stats.merge(po.decision.stats);
-        for (const auto& a : po.actions) {
-            // Skip defensively if a sibling's change made one inapplicable.
-            if (!cluster::applicable(*model_, probe, a)) continue;
-            probe = cluster::apply(*model_, probe, a);
-            out.actions.push_back(a);
-        }
-    }
-    out.decision_delay += pod_delay;
-    out.stats.duration = out.decision_delay;
-    out.stats.search_power_cost = out.decision_power_cost;
-    return out;
-}
-
-strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
+strategy::outcome global_coordinator::decide(const decision_input& in) {
     ensure_pods(in.current);
     health_.resize(pods_.size());
     reconcile_ownership(in.current, in.now);
@@ -540,7 +375,8 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
         out.decision_delay = po.decision.stats.duration;
         out.decision_power_cost = po.decision.stats.search_power_cost;
         out.stats = po.decision.stats;
-        emit_pod_decision(pods_[0].get(), po, in.current, in.now);
+        journal_pod_decision(sink_, *model_, in.current, pods_[0]->spec().hosts, 0,
+                             pods_[0]->budget(), po.decision, in.now);
         return out;
     }
 
@@ -606,11 +442,13 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
         auto& po = outs[i];
         // A hung pod's decision still arrives, just late: its modeled
         // duration is inflated before the deadline watchdog looks at it.
-        if (faults[i].hang_multiplier > 1.0 && po.invoked) {
+        if (faults[i].hang_multiplier > 1.0 && po.decision.invoked) {
             po.decision.stats.duration *= faults[i].hang_multiplier;
         }
-        emit_pod_decision(pods_[i].get(), po, in.current, in.now);
-        if (!po.invoked) continue;
+        journal_pod_decision(sink_, *model_, in.current, pods_[i]->spec().hosts,
+                             static_cast<std::int64_t>(i), pods_[i]->budget(),
+                             po.decision, in.now);
+        if (!po.decision.invoked) continue;
         if (po.decision.stats.duration > options_.pod_deadline) {
             // Deadline blown: the late plan is stale by the time it lands,
             // so it is discarded. The cluster still paid for the search —
@@ -680,7 +518,7 @@ void global_coordinator::apply_failsafe(std::size_t pod,
     // the deterministic repair plan, lifted back to global ids.
     std::int64_t repair_actions = 0;
     bool held = false;
-    if (!pods_[pod]->idle() && pods_[pod]->lens() == pod_lens::sharded) {
+    if (!pods_[pod]->idle()) {
         held = true;
         const auto& view = pods_[pod]->view();
         const auto local = view.project(probe);

@@ -1,7 +1,7 @@
 // The global coordination layer over pod controllers (DESIGN.md §13).
 //
-// A `global_coordinator` is a `strategy` composed of pod_controllers plus
-// cluster-wide coordination that no pod can do alone:
+// A `global_coordinator` ("Mistral-Pods") is a `strategy` composed of
+// pod_controllers plus cluster-wide coordination that no pod can do alone:
 //
 //  * budget broker — when a finite cluster power budget is set, the
 //    coordinator collects each pod's headroom/shortfall report (draw,
@@ -21,7 +21,7 @@
 //
 //  * ownership reconciliation — brokered migrate actions are *plans*; the
 //    executor can abort them (decision_input::failed) or still be running
-//    them (in_flight). Every sharded decide() therefore re-derives app
+//    them (in_flight). Every decide() therefore re-derives app
 //    ownership from the placements in `in.current` before any pod steps:
 //    an app whose VMs all sit in one pod belongs to that pod (re-adopting
 //    it if a brokered transfer never landed), and a half-moved app whose
@@ -31,12 +31,10 @@
 //    aborted brokered plan degrades to a retry instead of an
 //    invariant_error.
 //
-// Two modes share the class:
-//  * sharded  ("Mistral-Pods") — a validated partition of view-lens pods
-//    stepping concurrently; this is the scale mode (256 hosts and beyond).
-//  * two_level ("Mistral-2L") — the paper's hierarchy: scoped level-1 pods
-//    plus a wide-band full-cluster escalation controller whose non-empty
-//    decisions preempt the pods for that interval (Section II-C).
+// The pods are a validated partition stepping concurrently: this is the
+// scale mode (256 hosts and beyond). The paper's own two-level hierarchy is
+// a separate, smaller strategy (core/two_level.h) that uses none of the
+// above.
 //
 // Journal events (fixed field order, obs/journal.h): `pod_decision` per pod
 // step, `pod_budget` per redistribution, `pod_migration` per brokered move
@@ -73,7 +71,7 @@ struct coordinator_options {
     // Cluster-wide power budget (watts). Infinity disables the budget broker
     // entirely: no reports, no events, no terminal gating.
     watts power_budget = std::numeric_limits<watts>::infinity();
-    // Migration broker watermarks (sharded mode, ≥ 2 pods).
+    // Migration broker watermarks (≥ 2 pods).
     bool migration_broker = true;
     double donor_pressure = 0.85;   // propose eviction above this
     double accept_pressure = 0.65;  // bid for adoption below this
@@ -83,9 +81,7 @@ struct coordinator_options {
     // is not thread-safe), and the *modeled* decision latency is unaffected
     // either way — pods are concurrent in the model (max, not sum).
     bool parallel_pods = false;
-    // Escalation controller's band width (two-level mode; paper: 8 req/s).
-    req_per_sec escalation_band = 8.0;
-    // Economics (sharded mode only). `regions` maps every pod to a region
+    // Economics. `regions` maps every pod to a region
     // with its own tariff/carbon series: each pod's controller then plans
     // under its region's prices (the coordinator layers the econ override on
     // the builder), budget redistribution weights growth headroom by
@@ -98,7 +94,7 @@ struct coordinator_options {
     // emergencies): when set it overrides power_budget each interval. All
     // values must be positive; infinity is expressed by leaving this unset.
     std::optional<econ::step_series> budget_schedule{};
-    // --- Control-plane fault tolerance (sharded mode, DESIGN.md §16) ---
+    // --- Control-plane fault tolerance (DESIGN.md §16) ---
     // Per-pod decision deadline (modeled seconds). A pod whose (possibly
     // hang-inflated) decision exceeds it has its late plan discarded: the
     // coordinator charges the deadline as that pod's latency contribution,
@@ -119,7 +115,7 @@ struct coordinator_options {
     std::function<pod_step_fault(std::size_t)> pod_fault_hook{};
 };
 
-// Quarantine bookkeeping for one pod (sharded mode).
+// Quarantine bookkeeping for one pod.
 struct pod_health {
     bool quarantined = false;
     int clean_intervals = 0;  // consecutive fault-free intervals in quarantine
@@ -162,24 +158,15 @@ struct coordinator_state {
 
 class global_coordinator final : public strategy {
 public:
-    // Sharded mode over a validated partition. The app → pod assignment is
-    // derived from the first decide()'s configuration (assign_apps), so pods
-    // and their views materialize lazily on the first step.
+    // Pods over a validated partition. The app → pod assignment is derived
+    // from the first decide()'s configuration (assign_apps), so pods and
+    // their views materialize lazily on the first step.
     global_coordinator(const cluster::cluster_model& model,
                        cost::cost_table costs, partition parts,
                        controller_builder builder = {},
                        coordinator_options options = {});
 
-    // Two-level escalation mode: `level1` pods run the scoped lens (band 0,
-    // restricted menus — see level1_pods); a full-cluster escalation
-    // controller with escalation_band preempts them when it acts. Level-1
-    // pods need not cover every host, but must be disjoint and in range.
-    global_coordinator(const cluster::cluster_model& model,
-                       cost::cost_table costs, std::vector<pod_spec> level1,
-                       controller_builder builder = {},
-                       coordinator_options options = {});
-
-    [[nodiscard]] std::string name() const override { return name_; }
+    [[nodiscard]] std::string name() const override { return "Mistral-Pods"; }
     outcome decide(const decision_input& in) override;
 
     [[nodiscard]] const std::vector<std::unique_ptr<pod_controller>>& pods() const {
@@ -195,7 +182,7 @@ public:
     [[nodiscard]] std::int64_t brokered_migrations() const {
         return brokered_migrations_;
     }
-    // Per-pod quarantine state (sharded mode; empty before the first decide).
+    // Per-pod quarantine state (empty before the first decide).
     [[nodiscard]] const std::vector<pod_health>& health() const {
         return health_;
     }
@@ -208,7 +195,7 @@ public:
         return stray_apps_;
     }
 
-    // Exact-round-trip checkpointing (sharded mode; core/snapshot.h). The
+    // Exact-round-trip checkpointing (core/snapshot.h). The
     // restoring side constructs an identically configured coordinator (same
     // model, costs, partition, builder, options), then imports. `now` is the
     // restore time, re-binding each pod controller's econ layer.
@@ -232,28 +219,22 @@ private:
     cost::cost_table costs_;
     controller_builder builder_;
     coordinator_options options_;
-    std::string name_;
     obs::sink* sink_ = nullptr;  // the builder's sink, cached
-    bool sharded_ = false;
-    std::vector<pod_spec> specs_;  // sharded: pods_ built lazily from these
-    std::vector<std::size_t> host_pod_;  // host index → pod id (sharded)
+    std::vector<pod_spec> specs_;  // pods_ built lazily from these
+    std::vector<std::size_t> host_pod_;  // host index → pod id
     std::vector<std::unique_ptr<pod_controller>> pods_;
-    std::unique_ptr<mistral_controller> escalation_;  // two-level only
     std::vector<watts> budgets_;
     std::int64_t brokered_migrations_ = 0;
     // Apps whose VMs straddle pods this interval (a partially executed
     // brokered plan); unowned until gather_strays reunifies them.
     std::vector<std::size_t> stray_apps_;
-    // Control-plane fault tolerance (sharded mode).
+    // Control-plane fault tolerance.
     std::vector<pod_health> health_;
     std::vector<pending_migration> pending_;
     // Timed-out migrations to pull back to their donor this interval
     // (app → donor pod), consumed by gather_strays.
     std::vector<std::pair<std::size_t, std::size_t>> pull_back_;
 
-    obs::counter obs_escalations_;
-    obs::counter obs_escalation_actions_;
-    obs::histogram obs_escalation_seconds_;
     obs::counter obs_migrations_;
     obs::counter obs_reconciles_;
     obs::counter obs_region_moves_;
@@ -268,18 +249,11 @@ private:
     void apply_failsafe(std::size_t pod, cluster::configuration& probe,
                         outcome& out, seconds now, const char* reason);
     void enter_quarantine(std::size_t pod, seconds now, const char* reason);
-    outcome decide_two_level(const decision_input& in);
-    outcome decide_sharded(const decision_input& in);
     void redistribute_budgets(const decision_input& in, watts total);
     void broker_migrations(cluster::configuration& probe, outcome& out,
                            seconds now);
     // Per-pod regional price at `now` (empty when regions are unset).
     [[nodiscard]] std::vector<double> pod_prices(seconds now) const;
-    // Journals one "pod_decision" event: `pod`'s outcome with the headroom
-    // over its hosts in `at`, or, for a null `pod`, the escalation
-    // controller's (pod -1, level "global", uncapped, every host).
-    void emit_pod_decision(const pod_controller* pod, const pod_outcome& po,
-                           const cluster::configuration& at, seconds now) const;
 };
 
 }  // namespace mistral::core

@@ -1,6 +1,7 @@
 #include "core/pod_controller.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <string>
 
@@ -12,15 +13,14 @@ namespace mistral::core {
 pod_controller::pod_controller(const cluster::cluster_model& model,
                                cost::cost_table costs, pod_spec spec,
                                std::vector<std::size_t> apps,
-                               const controller_builder& builder,
-                               pod_lens lens)
+                               const controller_builder& builder)
     : model_(&model),
       costs_(std::move(costs)),
       spec_(std::move(spec)),
       apps_(std::move(apps)),
-      lens_(lens),
-      opts_(builder.build_for(spec_)),
-      meter_step_(builder.meter_per_expansion()) {
+      opts_(builder.build_for(spec_.id)),
+      meter_step_(builder.meter_per_expansion()),
+      metrics_(opts_.sink, std::to_string(spec_.id)) {
     std::sort(spec_.hosts.begin(), spec_.hosts.end());
     spec_.hosts.erase(std::unique(spec_.hosts.begin(), spec_.hosts.end()),
                       spec_.hosts.end());
@@ -28,32 +28,10 @@ pod_controller::pod_controller(const cluster::cluster_model& model,
     MISTRAL_CHECK(spec_.hosts.back() < model.host_count());
     std::sort(apps_.begin(), apps_.end());
     apps_.erase(std::unique(apps_.begin(), apps_.end()), apps_.end());
-    if (lens_ == pod_lens::scoped) {
-        opts_.search.host_scope.assign(model.host_count(), false);
-        for (const std::size_t h : spec_.hosts) opts_.search.host_scope[h] = true;
-    }
-    if (auto* reg = obs::metrics_of(opts_.sink)) {
-        const std::string prefix = "mistral_pod_" + std::to_string(spec_.id);
-        obs_decisions_ = reg->register_counter(
-            prefix + "_decisions_total", "Invoked decisions made by this pod");
-        obs_actions_ = reg->register_counter(
-            prefix + "_actions_total", "Actions emitted by this pod's decisions");
-        obs_search_seconds_ = reg->register_histogram(
-            prefix + "_search_seconds",
-            {0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0},
-            "Meter-elapsed search duration of this pod's invoked decisions");
-    }
     rebuild();
 }
 
 void pod_controller::rebuild() {
-    if (lens_ == pod_lens::scoped) {
-        view_.reset();
-        controller_ = std::make_unique<mistral_controller>(
-            *model_, costs_, opts_,
-            std::make_unique<model_clock_meter>(meter_step_));
-        return;
-    }
     if (apps_.empty()) {
         // An idle pod: spare hosts with no applications assigned. It still
         // reports headroom and can adopt an app from the migration broker,
@@ -120,22 +98,12 @@ decision_input pod_controller::project_input(const decision_input& in) const {
 pod_outcome pod_controller::step(const decision_input& in) {
     pod_outcome out;
     if (!controller_) return out;  // idle pod: nothing to decide
-    if (lens_ == pod_lens::scoped) {
-        out.decision = controller_->step(in);
-        out.actions = out.decision.actions;
-    } else {
-        out.decision = controller_->step(project_input(in));
-        out.actions.reserve(out.decision.actions.size());
-        for (const auto& a : out.decision.actions) {
-            out.actions.push_back(view_->lift_action(a));
-        }
+    out.decision = controller_->step(project_input(in));
+    out.actions.reserve(out.decision.actions.size());
+    for (const auto& a : out.decision.actions) {
+        out.actions.push_back(view_->lift_action(a));
     }
-    out.invoked = out.decision.invoked;
-    if (out.invoked) {
-        obs_decisions_.add();
-        obs_actions_.add(static_cast<std::int64_t>(out.actions.size()));
-        obs_search_seconds_.observe(out.decision.stats.duration);
-    }
+    metrics_.record(out.decision);
     return out;
 }
 
@@ -166,8 +134,51 @@ pod_report headroom_report(const cluster::cluster_model& model,
     return r;
 }
 
+pod_metrics::pod_metrics(obs::sink* sink, const std::string& label) {
+    auto* reg = obs::metrics_of(sink);
+    if (reg == nullptr) return;
+    const std::string prefix = "mistral_pod_" + label;
+    decisions_ = reg->register_counter(prefix + "_decisions_total",
+                                       "Invoked decisions made by this controller");
+    actions_ = reg->register_counter(prefix + "_actions_total",
+                                     "Actions emitted by this controller's decisions");
+    search_seconds_ = reg->register_histogram(
+        prefix + "_search_seconds",
+        {0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0},
+        "Meter-elapsed search duration of this controller's invoked decisions");
+}
+
+void pod_metrics::record(const controller_decision& d) {
+    if (!d.invoked) return;
+    decisions_.add();
+    actions_.add(static_cast<std::int64_t>(d.actions.size()));
+    search_seconds_.observe(d.stats.duration);
+}
+
+void journal_pod_decision(obs::sink* sink, const cluster::cluster_model& model,
+                          const cluster::configuration& at,
+                          const std::vector<std::size_t>& hosts, std::int64_t pod,
+                          watts budget, const controller_decision& d, seconds now) {
+    if (!obs::journaling(sink)) return;
+    const pod_report r = headroom_report(model, at, hosts);
+    obs::event e("pod_decision", now);
+    e.integer("pod", pod)
+        .text("level", pod < 0 ? "global" : "pod")
+        .boolean("invoked", d.invoked)
+        .integer("actions", static_cast<std::int64_t>(d.actions.size()))
+        .num("duration", d.stats.duration)
+        .integer("expansions", static_cast<std::int64_t>(d.stats.expansions))
+        .integer("generated", static_cast<std::int64_t>(d.stats.generated))
+        .num("expected_utility", d.expected_utility)
+        // JSON has no infinity; -1 marks an uncapped controller.
+        .num("budget_watts", std::isfinite(budget) ? budget : -1.0)
+        .num("draw_watts", r.draw)
+        .num("pressure", r.pressure)
+        .text("mode", to_string(d.mode));
+    sink->record(e);
+}
+
 void pod_controller::adopt_app(std::size_t app) {
-    MISTRAL_CHECK(lens_ == pod_lens::sharded);
     MISTRAL_CHECK(app < model_->app_count());
     MISTRAL_CHECK(std::find(apps_.begin(), apps_.end(), app) == apps_.end());
     apps_.push_back(app);
@@ -195,7 +206,6 @@ void pod_controller::import_state(const pod_controller_state& s, seconds now) {
 }
 
 void pod_controller::release_app(std::size_t app) {
-    MISTRAL_CHECK(lens_ == pod_lens::sharded);
     const auto it = std::find(apps_.begin(), apps_.end(), app);
     MISTRAL_CHECK_MSG(it != apps_.end(),
                       "pod " << spec_.id << " does not own app " << app);

@@ -1,31 +1,24 @@
 // One pod's controller: a Mistral controller behind a cluster-view lens.
 //
 // A pod_controller wraps a `mistral_controller` for one pod of a partition
-// and translates between the global cluster and the pod's slice of it. Two
-// lenses exist:
+// and translates between the global cluster and the pod's slice of it: the
+// controller runs on a `cluster::cluster_view` sub-model of the pod's hosts
+// and assigned applications. Decision inputs are projected into the view,
+// decisions lifted back to global entity ids. Search state scales with the
+// pod, not the cluster — the point of sharding. A pod covering the whole
+// cluster gets the identity lens, making its decisions byte-identical to a
+// flat controller's (pod_equivalence_test.cc).
 //
-//  * sharded — the controller runs on a `cluster::cluster_view` sub-model of
-//    the pod's hosts and assigned applications. Decision inputs are projected
-//    into the view, decisions lifted back to global entity ids. Search state
-//    scales with the pod, not the cluster — the point of sharding. A pod
-//    covering the whole cluster gets the identity lens, making its decisions
-//    byte-identical to a flat controller's (pod_equivalence_test.cc).
-//
-//  * scoped — the controller sees the whole model but its search is
-//    restricted to the pod's hosts via search_options::host_scope. This is
-//    the paper's first-level hierarchy controller (Section II-C): utility is
-//    still evaluated over every application, so its per-decision cost does
-//    not shrink with the pod. Kept for the two-level escalation mode.
-//
-// Observability replaces the old bespoke running_stats accessors: each pod
-// registers `mistral_pod_<id>_decisions_total` / `_actions_total` counters
-// and a `mistral_pod_<id>_search_seconds` histogram (observed only on
-// invoked decisions, matching the retired accessors' semantics).
+// Two helpers here serve every per-controller report of both layered
+// strategies (the sharded global_coordinator and the two-level hierarchy of
+// core/two_level.h): the `mistral_pod_<label>_*` metric trio (pod_metrics)
+// and the journal's `pod_decision` row (journal_pod_decision).
 #pragma once
 
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cluster/view.h"
@@ -34,11 +27,6 @@
 #include "core/pods.h"
 
 namespace mistral::core {
-
-enum class pod_lens {
-    sharded,  // view sub-model: search, evaluation, and state are pod-local
-    scoped,   // full model, host_scope-restricted actions (two-level mode)
-};
 
 // What a pod tells the global coordinator each interval (the CloudPowerCap-
 // style headroom/shortfall report driving budget redistribution).
@@ -51,7 +39,7 @@ struct pod_report {
 };
 
 // Headroom report over `hosts` (parent host indices) of `config`: each pod's
-// report, and the escalation controller's over every host.
+// report, and the two-level escalation controller's over every host.
 [[nodiscard]] pod_report headroom_report(const cluster::cluster_model& model,
                                          const cluster::configuration& config,
                                          const std::vector<std::size_t>& hosts);
@@ -68,8 +56,34 @@ struct pod_controller_state {
                            const pod_controller_state&) = default;
 };
 
+// The metric trio `mistral_pod_<label>_decisions_total`, `_actions_total`
+// and `_search_seconds`, observed on invoked decisions only. Sharded pods
+// and level-1 controllers are labelled by their index, the two-level
+// escalation controller by `global`. Disabled no-ops unless `sink` carries a
+// metrics registry.
+class pod_metrics {
+public:
+    pod_metrics() = default;
+    pod_metrics(obs::sink* sink, const std::string& label);
+
+    void record(const controller_decision& d);
+
+private:
+    obs::counter decisions_;
+    obs::counter actions_;
+    obs::histogram search_seconds_;
+};
+
+// Journals one `pod_decision` event (fixed field order) when `sink` is
+// journaling: decision `d` of controller `pod` (level "pod"; -1 is the
+// escalation controller, level "global"), its budget (infinity: uncapped)
+// and the headroom over `hosts` in `at`.
+void journal_pod_decision(obs::sink* sink, const cluster::cluster_model& model,
+                          const cluster::configuration& at,
+                          const std::vector<std::size_t>& hosts, std::int64_t pod,
+                          watts budget, const controller_decision& d, seconds now);
+
 struct pod_outcome {
-    bool invoked = false;
     // Actions in *global* (parent-model) entity ids.
     std::vector<cluster::action> actions;
     // The pod-local decision record (stats, mode, expected utility).
@@ -78,27 +92,24 @@ struct pod_outcome {
 
 class pod_controller {
 public:
-    // `apps`: parent app indices assigned to this pod (sharded lens; the
-    // scoped lens evaluates every app and ignores it beyond bookkeeping).
+    // `apps`: parent app indices assigned to this pod.
     pod_controller(const cluster::cluster_model& model, cost::cost_table costs,
                    pod_spec spec, std::vector<std::size_t> apps,
-                   const controller_builder& builder,
-                   pod_lens lens = pod_lens::sharded);
+                   const controller_builder& builder);
 
     [[nodiscard]] const pod_spec& spec() const { return spec_; }
     [[nodiscard]] const std::vector<std::size_t>& apps() const { return apps_; }
-    [[nodiscard]] pod_lens lens() const { return lens_; }
     // A pod with no assigned applications is *idle*: it reports headroom and
     // can adopt an app, but steps are no-ops and view()/controller() are
     // unavailable until an app arrives.
     [[nodiscard]] bool idle() const { return controller_ == nullptr; }
-    // The pod's lens over the cluster (sharded, non-idle only).
+    // The pod's lens over the cluster (non-idle only).
     [[nodiscard]] const cluster::cluster_view& view() const { return *view_; }
     [[nodiscard]] const mistral_controller& controller() const { return *controller_; }
     [[nodiscard]] watts budget() const { return budget_; }
 
-    // One monitoring-interval step. `in` carries global state; the sharded
-    // lens projects it into the view (rates, configuration, fault notices,
+    // One monitoring-interval step. `in` carries global state, projected
+    // into the view (rates, configuration, fault notices,
     // telemetry; the cluster-wide interval utility is split by rate share).
     pod_outcome step(const decision_input& in);
 
@@ -111,7 +122,7 @@ public:
         return headroom_report(*model_, global, spec_.hosts);
     }
 
-    // Migration-broker bookkeeping (sharded lens): ownership changes rebuild
+    // Migration-broker bookkeeping: ownership changes rebuild
     // the pod's view and controller — predictors restart cold, which is the
     // price of moving an app between pods.
     void adopt_app(std::size_t app);
@@ -128,16 +139,13 @@ private:
     cost::cost_table costs_;
     pod_spec spec_;
     std::vector<std::size_t> apps_;
-    pod_lens lens_;
     controller_options opts_;
     seconds meter_step_;
     watts budget_ = std::numeric_limits<watts>::infinity();
     std::optional<cluster::cluster_view> view_;
     std::unique_ptr<mistral_controller> controller_;
 
-    obs::counter obs_decisions_;
-    obs::counter obs_actions_;
-    obs::histogram obs_search_seconds_;
+    pod_metrics metrics_;
 
     void rebuild();
     [[nodiscard]] decision_input project_input(const decision_input& in) const;

@@ -52,23 +52,6 @@ partition uniform_partition(const cluster::cluster_model& model,
     return partition(model, std::move(pods));
 }
 
-std::vector<pod_spec> level1_pods(std::vector<std::vector<std::size_t>> groups) {
-    std::vector<pod_spec> pods;
-    pods.reserve(groups.size());
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-        pod_spec pod;
-        pod.id = i;
-        pod.hosts = std::move(groups[i]);
-        pod.band = 0.0;
-        pod.menu = cluster::action_menu{.cpu_tuning = true,
-                                        .replication = false,
-                                        .migration = true,
-                                        .host_power = false};
-        pods.push_back(std::move(pod));
-    }
-    return pods;
-}
-
 std::vector<std::size_t> assign_apps(const cluster::cluster_model& model,
                                      const partition& parts,
                                      const cluster::configuration& initial) {

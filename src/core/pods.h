@@ -1,22 +1,16 @@
 // Pod specifications and cluster partitions.
 //
 // A *pod* is the unit of sharded control (DESIGN.md §13): a named, stable
-// subset of hosts managed by one pod-local controller. `pod_spec` replaces
-// the raw `std::vector<std::vector<std::size_t>>` host groups the two-level
-// hierarchy used to take — the raw form carried no identity, no band, and no
-// action-menu restriction, so every caller re-derived them. A `partition` is
-// a validated set of pods: pairwise disjoint and, together, covering every
+// subset of hosts managed by one pod-local controller. A `partition` is a
+// validated set of pods: pairwise disjoint and, together, covering every
 // host in the model.
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
-#include "cluster/action.h"
 #include "cluster/configuration.h"
 #include "cluster/model.h"
-#include "common/units.h"
 
 namespace mistral::core {
 
@@ -26,11 +20,6 @@ struct pod_spec {
     std::size_t id = 0;
     // Host indices owned by this pod (deduplicated+sorted by the builder).
     std::vector<std::size_t> hosts;
-    // Workload band width for the pod's controller; nullopt inherits the
-    // builder's base band (the two-level hierarchy pins level-1 pods to 0).
-    std::optional<req_per_sec> band{};
-    // Action mask for the pod's controller; nullopt inherits the base menu.
-    std::optional<cluster::action_menu> menu{};
 };
 
 // A validated cluster partition. Construction (via the builder functions
@@ -58,11 +47,6 @@ private:
 // (the first `host_count % pod_count` pods get one extra host).
 partition uniform_partition(const cluster::cluster_model& model,
                             std::size_t pod_count);
-
-// Converts the hierarchy's legacy raw host groups into level-1 pod specs:
-// band 0 and a CPU-tuning + migration menu, the paper's first-level
-// controller shape (Section II-C).
-std::vector<pod_spec> level1_pods(std::vector<std::vector<std::size_t>> groups);
 
 // Derives the app → pod assignment implied by `initial`: an app belongs to
 // the pod hosting its deployed VMs. Throws invariant_error when an app's VMs

@@ -433,8 +433,6 @@ search_result adaptation_search::find(const configuration& current,
         out.ideal_utility = stay.ideal_utility;
         out.stats = stats;
         const auto& term = vertices[static_cast<std::size_t>(terminal_index)];
-        // Vertices carry average rates; report dollars over the window.
-        out.expected_utility = term.utility * cw;
         out.target = term.config;
         // Walk the parent chain; the terminal's own edge is the null action.
         std::vector<action> path;
@@ -446,7 +444,16 @@ search_result adaptation_search::find(const configuration& current,
         // Splice out zero-net-effect detours: an A* path can carry them
         // legitimately (a revisit with better accrued value), but executing
         // them buys nothing.
+        const std::size_t path_actions = path.size();
         out.actions = compress_plan(model, current, std::move(path));
+        out.spliced_actions = path_actions - out.actions.size();
+        // Report the value of the plan that is executed: the terminal's
+        // average rate in dollars over the window, or, when a detour was
+        // spliced, the same Eq. 3 valuation of the shorter plan.
+        out.expected_utility =
+            out.spliced_actions == 0
+                ? term.utility * cw
+                : value_plan(current, out.actions, rates, cw, ideal_rate);
         emit_profile(out);
         return out;
     };

@@ -133,8 +133,10 @@ struct search_result {
     // Empty means "stay in the current configuration".
     std::vector<cluster::action> actions;
     cluster::configuration target;
-    dollars expected_utility = 0.0;  // Eq. 3 value over the control window
+    dollars expected_utility = 0.0;  // Eq. 3 value of `actions` over the window
     dollars ideal_utility = 0.0;     // U° · CW (the heuristic's bound)
+    // Zero-net detour actions spliced out of the A* path to give `actions`.
+    std::size_t spliced_actions = 0;
     search_stats stats;
 };
 

@@ -378,7 +378,6 @@ std::string enc_controller(const controller_state& s) {
     out += ",\"intended\":" + (s.intended.has_value() ? enc_config(*s.intended)
                                                       : std::string("null"));
     out += ",\"fault_rounds\":" + enc(s.fault_rounds);
-    out += ",\"backoff_until\":" + enc(s.backoff_until);
     out += ",\"mode\":" + enc(static_cast<int>(s.mode));
     out += ",\"clean_steps\":" + enc(s.clean_steps);
     out += ",\"deadline_tripped\":" + enc(s.deadline_tripped);
@@ -405,7 +404,6 @@ controller_state dec_controller(const value& v) {
     const value& intended = get(v, "intended");
     if (intended.type() != value::kind::null) s.intended = dec_config(intended);
     s.fault_rounds = static_cast<int>(dec_int(get(v, "fault_rounds")));
-    s.backoff_until = dec_num(get(v, "backoff_until"));
     const std::int64_t mode = dec_int(get(v, "mode"));
     MISTRAL_CHECK_MSG(mode >= 0 && mode <= 3,
                       "snapshot: unknown control mode " << mode);

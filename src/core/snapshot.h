@@ -46,7 +46,7 @@
 
 namespace mistral::core {
 
-inline constexpr int snapshot_version = 1;
+inline constexpr int snapshot_version = 2;
 
 struct snapshot {
     int version = snapshot_version;

@@ -108,11 +108,19 @@ public:
     return s != nullptr ? s->metrics() : nullptr;
 }
 
-// Explicit do-nothing sink, for callers that want a non-null default object.
+// Journal off. With a registry it is the metrics-only sink: components
+// register and update their metrics while decisions stay byte-identical to
+// an unobserved run; without one it is an explicit do-nothing default.
 class null_sink final : public sink {
 public:
+    explicit null_sink(metrics_registry* metrics = nullptr) : metrics_(metrics) {}
+
     [[nodiscard]] bool enabled() const override { return false; }
     void record(const event&) override {}
+    [[nodiscard]] metrics_registry* metrics() override { return metrics_; }
+
+private:
+    metrics_registry* metrics_;
 };
 
 // Writes one JSON line per event to a caller-owned stream.

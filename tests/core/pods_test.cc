@@ -55,21 +55,6 @@ TEST_F(PodsTest, UniformPartitionCoversWithNearEqualRuns) {
     EXPECT_THROW(uniform_partition(model, 9), invariant_error);
 }
 
-TEST_F(PodsTest, Level1PodsCarryThePaperShape) {
-    const auto pods = level1_pods({{0, 1}, {2, 3}});
-    ASSERT_EQ(pods.size(), 2u);
-    for (std::size_t i = 0; i < pods.size(); ++i) {
-        EXPECT_EQ(pods[i].id, i);
-        ASSERT_TRUE(pods[i].band.has_value());
-        EXPECT_EQ(*pods[i].band, 0.0);
-        ASSERT_TRUE(pods[i].menu.has_value());
-        EXPECT_TRUE(pods[i].menu->cpu_tuning);
-        EXPECT_TRUE(pods[i].menu->migration);
-        EXPECT_FALSE(pods[i].menu->replication);
-        EXPECT_FALSE(pods[i].menu->host_power);
-    }
-}
-
 TEST_F(PodsTest, AssignAppsFollowsPlacementsAndRejectsStraddlers) {
     partition p(model, {{0, {0, 1, 2, 3}}, {1, {4, 5, 6, 7}}});
     cluster::configuration c(model.vm_count(), model.host_count());

@@ -2,8 +2,8 @@
 // at reduced scale, checking the paper's qualitative claims end to end.
 #include <gtest/gtest.h>
 
-#include "core/coordinator.h"
 #include "core/experiment.h"
+#include "core/two_level.h"
 #include "obs/journal.h"
 #include "sim/cost_campaign.h"
 #include "workload/generators.h"
@@ -83,8 +83,7 @@ TEST_F(EndToEnd, HierarchicalControllerRunsTheScenario) {
     obs::memory_sink sink(&registry);
     controller_builder builder;
     builder.sink(&sink);
-    global_coordinator h(scn().model, costs(), level1_pods({{0, 1, 2, 3}}),
-                         builder);
+    two_level_controller h(scn().model, costs(), {{0, 1, 2, 3}}, builder);
     const auto r = run_scenario(scn(), h);
     EXPECT_EQ(r.strategy_name, "Mistral-2L");
     EXPECT_GT(r.invocations, 10u);   // level-1 runs every interval

@@ -282,6 +282,10 @@ TEST(Journal, NullSinkAndGuards) {
     metrics_registry reg;
     memory_sink with_metrics(&reg);
     EXPECT_EQ(metrics_of(&with_metrics), &reg);
+    // The metrics-only sink: journal off, registry on.
+    null_sink metrics_only(&reg);
+    EXPECT_FALSE(journaling(&metrics_only));
+    EXPECT_EQ(metrics_of(&metrics_only), &reg);
 }
 
 TEST(Journal, JsonlSinkWritesOneLinePerEvent) {
