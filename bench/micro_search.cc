@@ -307,12 +307,17 @@ int run_sweep(const char* path) {
 // are printed for the log but never gated.
 int run_smoke() {
     // Golden expected utility of the 8-host / 4-app / 60 req/s self-aware
-    // decision, and the LQN sub-solves it pays from a cold cache. Both are
-    // deterministic; update them only when a change deliberately alters
-    // decision semantics or what the evaluator caches.
+    // decision, the A* work behind it (expansions and generated children:
+    // the graph it walks), and the LQN sub-solves it pays from a cold cache.
+    // All are deterministic. The graph pins move only with decision
+    // semantics; the sub-solve pin also moves with what the search evaluates
+    // (children pruning drops are never evaluated) and what the evaluator
+    // caches.
     constexpr double kGoldenUtility = 20.293492001125777;
     constexpr double kTolerance = 1e-9;  // relative
-    constexpr std::size_t kGoldenLqnSolves = 142;
+    constexpr std::size_t kGoldenExpansions = 176;
+    constexpr std::size_t kGoldenGenerated = 30117;
+    constexpr std::size_t kGoldenLqnSolves = 122;
 
     auto scn = core::make_rubis_scenario({.host_count = 8, .app_count = 4});
     const std::vector<req_per_sec> rates(4, 60.0);
@@ -330,9 +335,12 @@ int run_smoke() {
         const auto result = search.find(scn.initial, rates, 600.0, 0.0, meter);
         const auto t1 = std::chrono::steady_clock::now();
         const std::size_t lqn_solves = search.evaluator().stats().app_solves;
-        std::printf("smoke: 8 hosts / 4 apps  %8.2f ms  lqn_solves=%zu  eu=%.17g\n",
+        std::printf("smoke: 8 hosts / 4 apps  %8.2f ms  expansions=%zu  "
+                    "generated=%zu  evaluated=%zu  lqn_solves=%zu  eu=%.17g\n",
                     std::chrono::duration<double, std::milli>(t1 - t0).count(),
-                    lqn_solves, result.expected_utility);
+                    result.stats.expansions, result.stats.generated,
+                    result.stats.eval_cache_misses, lqn_solves,
+                    result.expected_utility);
         const double deviation = std::abs(result.expected_utility - kGoldenUtility) /
                                  std::abs(kGoldenUtility);
         if (!(deviation <= kTolerance)) {
@@ -340,6 +348,14 @@ int run_smoke() {
                                  "%.17g (rel %.3g > %.1g)\n",
                          result.expected_utility, kGoldenUtility, deviation,
                          kTolerance);
+            ++failures;
+        }
+        if (result.stats.expansions != kGoldenExpansions ||
+            result.stats.generated != kGoldenGenerated) {
+            std::fprintf(stderr, "smoke FAILED: %zu expansions / %zu generated, "
+                                 "expected %zu / %zu\n",
+                         result.stats.expansions, result.stats.generated,
+                         kGoldenExpansions, kGoldenGenerated);
             ++failures;
         }
         if (lqn_solves != kGoldenLqnSolves) {

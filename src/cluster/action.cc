@@ -210,30 +210,29 @@ bool applicable(const cluster_model& model, const configuration& config,
     return applicable_impl(model, config, a, nullptr, why);
 }
 
-configuration apply(const cluster_model& model, const configuration& config,
+void apply_in_place(const cluster_model& model, configuration& config,
                     const action& a) {
     std::string why;
     MISTRAL_CHECK_MSG(applicable(model, config, a, &why),
                       "inapplicable action " << to_string(model, a) << ": " << why);
-    configuration next = config;
     const auto step = model.limits().cpu_step;
     std::visit(
         [&](const auto& x) {
             using T = std::decay_t<decltype(x)>;
             if constexpr (std::is_same_v<T, increase_cpu>) {
-                next.set_cap(x.vm, config.placement(x.vm)->cpu_cap + step);
+                config.set_cap(x.vm, config.placement(x.vm)->cpu_cap + step);
             } else if constexpr (std::is_same_v<T, decrease_cpu>) {
-                next.set_cap(x.vm, config.placement(x.vm)->cpu_cap - step);
+                config.set_cap(x.vm, config.placement(x.vm)->cpu_cap - step);
             } else if constexpr (std::is_same_v<T, add_replica>) {
-                next.deploy(x.vm, x.to, x.cpu_cap);
+                config.deploy(x.vm, x.to, x.cpu_cap);
             } else if constexpr (std::is_same_v<T, remove_replica>) {
-                next.undeploy(x.vm);
+                config.undeploy(x.vm);
             } else if constexpr (std::is_same_v<T, migrate>) {
-                next.deploy(x.vm, x.to, config.placement(x.vm)->cpu_cap);
+                config.deploy(x.vm, x.to, config.placement(x.vm)->cpu_cap);
             } else if constexpr (std::is_same_v<T, power_on>) {
-                next.set_host_power(x.host, true);
+                config.set_host_power(x.host, true);
             } else {
-                next.set_host_power(x.host, false);
+                config.set_host_power(x.host, false);
             }
         },
         a);
@@ -241,9 +240,15 @@ configuration apply(const cluster_model& model, const configuration& config,
     // Debug-build invariant: the incremental Zobrist hash must equal a full
     // recompute after every edge expansion (the sanitize-labeled randomized
     // hash test exercises the same property in release builds).
-    MISTRAL_CHECK_MSG(next.verify_hash(),
+    MISTRAL_CHECK_MSG(config.verify_hash(),
                       "incremental hash diverged applying " << to_string(model, a));
 #endif
+}
+
+configuration apply(const cluster_model& model, const configuration& config,
+                    const action& a) {
+    configuration next = config;
+    apply_in_place(model, next, a);
     return next;
 }
 

@@ -85,6 +85,12 @@ bool applicable(const cluster_model& model, const configuration& config,
 // Applies `a` to `config`. Throws invariant_error when !applicable.
 [[nodiscard]] configuration apply(const cluster_model& model,
                                   const configuration& config, const action& a);
+// apply() without the copy: fires `a` on `config` itself. Throws
+// invariant_error, leaving `config` untouched, when !applicable. Copy-assign
+// a scratch configuration from the source first and its buffers are reused,
+// so scoring many actions from one configuration allocates nothing.
+void apply_in_place(const cluster_model& model, configuration& config,
+                    const action& a);
 
 // Which actions the optimizer may consider; levels of the controller
 // hierarchy restrict this set (Section II-C).

@@ -134,4 +134,22 @@ const cost::cost_entry& decision_costs::lookup(const cluster::action& a) {
     return entries_[i];
 }
 
+dedup_table::dedup_table(std::size_t expected) {
+    std::size_t n = 16;
+    while (n < 2 * expected) n *= 2;
+    slots_.resize(n);
+}
+
+void dedup_table::grow() {
+    std::vector<slot> old(2 * slots_.size());
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const slot& s : old) {
+        if (s.rep == npos) continue;
+        std::size_t i = s.hash & mask;
+        while (slots_[i].rep != npos) i = (i + 1) & mask;
+        slots_[i] = s;
+    }
+}
+
 }  // namespace mistral::core

@@ -5,14 +5,16 @@
 // is a map lookup plus a linear scan, a full structural-validity rescan of the
 // configuration, and a small heap allocation per child — more than the LQN
 // work a child costs once the evaluator's caches are warm. The helpers below
-// do the same work incrementally and without allocating; the search uses
-// them and the differential tests (tests/core/drafting_test.cc) check each
-// against its from-scratch counterpart.
+// do the same work incrementally and without allocating, and dedup_table
+// replaces a map keyed by whole configurations; the search uses them and the
+// differential tests (tests/core/drafting_test.cc) check each against its
+// from-scratch counterpart.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cluster/action.h"
@@ -87,6 +89,66 @@ private:
     std::size_t slots_ = 0;                 // (app, tier) slots per kind
     std::vector<cost::cost_entry> entries_;  // [kind · slots_ + slot]
     std::vector<std::uint8_t> filled_;
+};
+
+// Best utility recorded per configuration: the A*'s duplicate detection.
+// Open addressing with linear probing over a power-of-two slot array that is
+// at most half full. A slot holds a configuration's incremental Zobrist hash,
+// the index of a representative vertex carrying that configuration, and the
+// best utility recorded for it. The table stores no configuration: on a hash
+// match the caller's `config_of(rep)` supplies the representative's for a
+// full compare, so a hash collision never merges two configurations.
+class dedup_table {
+public:
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+    struct slot {
+        std::uint64_t hash = 0;
+        std::size_t rep = npos;  // npos marks an empty slot
+        double best = 0.0;
+    };
+
+    // Room for `expected` entries before the first growth.
+    explicit dedup_table(std::size_t expected);
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+    // The entry of the configuration equal to `c`, or nullptr. `config_of`
+    // maps a representative index to its configuration.
+    template <class ConfigOf>
+    [[nodiscard]] slot* find(const cluster::configuration& c, const ConfigOf& config_of) {
+        slot& s = probe(c, config_of);
+        return s.rep == npos ? nullptr : &s;
+    }
+
+    // find(), inserting (rep, best) when `c` is new; `second` says whether it
+    // was. The pointer is invalidated by the next insertion.
+    template <class ConfigOf>
+    std::pair<slot*, bool> try_emplace(const cluster::configuration& c, std::size_t rep,
+                                       double best, const ConfigOf& config_of) {
+        if (2 * (size_ + 1) > slots_.size()) grow();
+        slot& s = probe(c, config_of);
+        if (s.rep != npos) return {&s, false};
+        s = {c.hash(), rep, best};
+        ++size_;
+        return {&s, true};
+    }
+
+private:
+    // The slot holding `c`, or the empty slot where it would go.
+    template <class ConfigOf>
+    slot& probe(const cluster::configuration& c, const ConfigOf& config_of) {
+        const std::uint64_t h = c.hash();
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+            slot& s = slots_[i];
+            if (s.rep == npos || (s.hash == h && config_of(s.rep) == c)) return s;
+        }
+    }
+
+    void grow();
+
+    std::vector<slot> slots_;
+    std::size_t size_ = 0;
 };
 
 }  // namespace mistral::core

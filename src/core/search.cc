@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <queue>
-#include <unordered_map>
 #include <utility>
 
 #include "cluster/translate.h"
@@ -51,6 +50,12 @@ vm_id touched_vm(const action& a) {
         a);
 }
 
+// Fixed $ charged per planned action: the management plane's actuation cost
+// (API calls, scheduler churn, operator risk). Without it, near-zero-cost
+// actions (CPU-cap steps) make arbitrarily long plans value-ties, and the
+// search wanders.
+constexpr dollars per_action_overhead = 0.01;
+
 // Eq. 3 plan valuation (Section IV-B) for one decision's rates, shared by
 // find() and value_plan(): each action accrues at its transient rate for its
 // cost-table duration, and a plan is valued by its *average utility rate*
@@ -73,20 +78,18 @@ struct plan_pricer {
     const std::vector<seconds>& targets;  // planning targets for `rates`
     seconds cw;
     double cap_rate;
-    dollars per_action_overhead;
 
     // app × host occupancy bitmap: occ[s·H + h] is nonzero iff application s
     // has a deployed VM on host h. Computed once per configuration an action
     // fires from, so the colocation test in accrue() is O(|touched|) instead
-    // of a VM-inventory scan per (action, app).
-    [[nodiscard]] std::vector<std::uint8_t> occupancy(const configuration& c) const {
+    // of a VM-inventory scan per (action, app). Refills `occ` in place.
+    void occupancy(const configuration& c, std::vector<std::uint8_t>& occ) const {
         const std::size_t host_count = model.host_count();
-        std::vector<std::uint8_t> occ(model.app_count() * host_count, 0);
+        occ.assign(model.app_count() * host_count, 0);
         for (const auto& desc : model.vms()) {
             const auto& p = c.placement(desc.vm);
             if (p) occ[desc.app.index() * host_count + p->host.index()] = 1;
         }
-        return occ;
     }
 
     // `accrued` after firing `a` (cost entry `entry`, touching the hosts
@@ -174,7 +177,6 @@ adaptation_search::adaptation_search(const cluster::cluster_model& model,
     MISTRAL_CHECK(options_.max_expansions >= 1);
     MISTRAL_CHECK(options_.stop_factor >= 1.0);
     MISTRAL_CHECK(options_.max_plan_actions >= 1);
-    MISTRAL_CHECK(options_.per_action_overhead >= 0.0);
     MISTRAL_CHECK(options_.power_cap > 0.0);
     if (!options_.app_hosts.empty()) {
         MISTRAL_CHECK(options_.app_hosts.size() == model.app_count());
@@ -315,12 +317,20 @@ search_result adaptation_search::find(const configuration& current,
     // Cost entries for this decision's rates, one lookup per (kind, app, tier).
     decision_costs costs(model, costs_, rates);
 
+    // Initial room for the graph. Most searches record a few dozen vertices;
+    // the large ones (thousands) grow both containers a few times.
+    constexpr std::size_t expected_vertices = 512;
     std::vector<vertex> vertices;
+    vertices.reserve(expected_vertices);
     // Max-heap of (utility, vertex index); stale entries skipped on pop.
     using heap_entry = std::pair<double, std::size_t>;
     std::priority_queue<heap_entry> open;
-    // Best utility recorded per configuration (non-terminal vertices).
-    std::unordered_map<configuration, double> best_seen;
+    // Best utility recorded per configuration (non-terminal vertices), keyed
+    // by the configuration of a representative vertex.
+    dedup_table seen(expected_vertices);
+    auto config_of = [&](std::size_t i) -> const configuration& {
+        return vertices[i].config;
+    };
 
     // The root is structurally valid (checked above) and every edge is an
     // action `applicable` accepted, so by induction every vertex is
@@ -330,9 +340,9 @@ search_result adaptation_search::find(const configuration& current,
     root.config = current;
     root.utility = ideal_rate;  // average-rate bound: nothing beats the ideal
     root.overbooked = overbooked_hosts(model, current);
-    vertices.push_back(root);
-    open.push({root.utility, 0});
-    best_seen.emplace(current, root.utility);
+    vertices.push_back(std::move(root));
+    open.push({vertices[0].utility, 0});
+    (void)seen.try_emplace(current, 0, vertices[0].utility, config_of);
 
     search_stats stats;
     dollars uh = expected_utility;
@@ -348,8 +358,7 @@ search_result adaptation_search::find(const configuration& current,
 
     // Plan valuation: Eq. 3 as an average rate over H = max(CW, D + M), with
     // transient accrual clamped at the ideal rate (see plan_pricer).
-    const plan_pricer pricer{model, utility_, rates, targets, cw, ideal_rate,
-                             options_.per_action_overhead};
+    const plan_pricer pricer{model, utility_, rates, targets, cw, ideal_rate};
 
     // Drafts the child vertex reached by firing `a` from vertex `v` (index
     // `parent_idx`): everything except the steady-state valuation, which
@@ -383,10 +392,11 @@ search_result adaptation_search::find(const configuration& current,
     // Records a vertex if it improves on anything previously seen for its
     // configuration; returns its index or -1 when dominated.
     auto record_vertex = [&](vertex&& vc) -> int {
-        auto [it, inserted] = best_seen.emplace(vc.config, vc.utility);
+        auto [seen_at, inserted] =
+            seen.try_emplace(vc.config, vertices.size(), vc.utility, config_of);
         if (!inserted) {
-            if (vc.utility <= it->second + 1e-12) return -1;
-            it->second = vc.utility;
+            if (vc.utility <= seen_at->best + 1e-12) return -1;
+            seen_at->best = vc.utility;
         }
         vertices.push_back(std::move(vc));
         open.push({vertices.back().utility, vertices.size() - 1});
@@ -394,16 +404,16 @@ search_result adaptation_search::find(const configuration& current,
     };
 
     // Adds the "null"-edge terminal for a candidate vertex; `pe` is its
-    // steady evaluation.
+    // steady evaluation. A terminal carries no configuration of its own: it
+    // lands where its parent is.
     auto add_terminal = [&](std::size_t idx, const steady_utility& pe) {
         const vertex& v = vertices[idx];
         // The power budget gates terminal candidacy only: like the packing
         // constraint, intermediates may exceed it while a plan is in flight,
         // but the plan must land inside the cap.
         if (!pe.candidate || pe.power > options_.power_cap) return;
-        vertex term = v;
+        vertex term;
         term.parent = static_cast<int>(idx);
-        term.via.reset();
         term.terminal = true;
         term.utility = pricer.average_rate(v.accrued, v.duration, pe.rate);
         if (best_terminal < 0 ||
@@ -433,7 +443,7 @@ search_result adaptation_search::find(const configuration& current,
         out.ideal_utility = stay.ideal_utility;
         out.stats = stats;
         const auto& term = vertices[static_cast<std::size_t>(terminal_index)];
-        out.target = term.config;
+        out.target = vertices[static_cast<std::size_t>(term.parent)].config;
         // Walk the parent chain; the terminal's own edge is the null action.
         std::vector<action> path;
         for (int i = term.parent; i >= 0; i = vertices[static_cast<std::size_t>(i)].parent) {
@@ -457,6 +467,9 @@ search_result adaptation_search::find(const configuration& current,
         emit_profile(out);
         return out;
     };
+
+    // The occupancy of the configuration children are drafted from.
+    std::vector<std::uint8_t> occ;
 
     // Seed the graph with the planner's route to the ideal configuration so
     // a full reconfiguration — and every partial prefix of it — is a known
@@ -491,7 +504,8 @@ search_result adaptation_search::find(const configuration& current,
             }
             const seconds seed_start = profiling ? meter.elapsed() : 0.0;
             meter.on_expansion();
-            vertex c = draft_child(v, at, at_eval, pricer.occupancy(v.config), a);
+            pricer.occupancy(v.config, occ);
+            vertex c = draft_child(v, at, at_eval, occ, a);
             // A recorded step's one evaluation serves its valuation (when it
             // is a candidate), its terminal and the next step's draft.
             const bool candidate = c.overbooked == 0;
@@ -515,6 +529,13 @@ search_result adaptation_search::find(const configuration& current,
         }
     }
 
+    // Per-expansion buffers, reused so an expansion allocates only the
+    // configurations of the children it records.
+    std::vector<action> acts;
+    std::vector<std::pair<double, std::size_t>> scored;  // (distance, act index)
+    std::vector<vertex> children;
+    configuration scratch;  // a pruning candidate's configuration
+
     while (!open.empty() && stats.expansions < options_.max_expansions) {
         const auto [u, idx] = open.top();
         open.pop();
@@ -522,8 +543,8 @@ search_result adaptation_search::find(const configuration& current,
             return finish(static_cast<int>(idx));
         }
         {
-            const auto it = best_seen.find(vertices[idx].config);
-            if (it != best_seen.end() && u < it->second - 1e-12) continue;  // stale
+            const auto* s = seen.find(vertices[idx].config, config_of);
+            if (s != nullptr && u < s->best - 1e-12) continue;  // stale
         }
 
         ++stats.expansions;
@@ -561,57 +582,58 @@ search_result adaptation_search::find(const configuration& current,
         // Not held across record_vertex, which may reallocate vertices.
         const vertex& v = vertices[idx];
 
-        // Action children. The meter charges per child *evaluated* — child
+        // Action children. The meter charges per child *generated* — child
         // construction (cost lookup + utility estimation) is where a real
         // controller burns its time and power, so search durations scale
-        // with the branching factor, i.e. with cluster size (Table I). One
+        // with the branching factor, i.e. with cluster size (Table I).
+        // Children that pruning ranks away are charged too, so the modeled
+        // self-cost does not depend on how cheaply they are ranked. One
         // charge covers the whole expansion.
         if (static_cast<std::size_t>(v.depth) >= options_.max_plan_actions) continue;
-        std::vector<action> acts;
+        acts.clear();
         for (const auto& a : enumerate_actions(model, v.config, options_.menu)) {
             if (action_allowed(model, options_, v.config, a)) acts.push_back(a);
         }
         if (acts.empty()) continue;
         meter.charge(acts.size(), 1);
+        stats.generated += acts.size();
+        obs_generated_.add(static_cast<std::int64_t>(acts.size()));
 
-        // Draft each child (apply + incremental candidacy + transient
+        // The children to draft, in the order they are recorded: all of them,
+        // or under pruning the ones closest to the ideal configuration, by
+        // (distance, action index). Ranking needs only each child's
+        // configuration, built in one reused scratch, so the children pruning
+        // drops are never drafted or evaluated. Their cost entries are still
+        // looked up, so a missing measurement throws as drafting would.
+        std::size_t keep = acts.size();
+        if (prune_mode) {
+            stats.pruned = true;
+            scored.clear();
+            for (std::size_t i = 0; i < acts.size(); ++i) {
+                (void)costs.lookup(acts[i]);
+                scratch = v.config;
+                cluster::apply_in_place(model, scratch, acts[i]);
+                scored.push_back({prune_distance(scratch), i});
+            }
+            std::sort(scored.begin(), scored.end());
+            keep = std::max<std::size_t>(
+                1, static_cast<std::size_t>(
+                       std::ceil(options_.prune_keep_fraction *
+                                 static_cast<double>(acts.size()))));
+        }
+
+        // Draft each kept child (apply + incremental candidacy + transient
         // accounting, all pure given the parent), then value it: candidates
         // by their steady state, the rest by the ideal bound.
-        const auto occ = pricer.occupancy(v.config);
-        std::vector<vertex> children;
-        children.reserve(acts.size());
-        std::vector<double> child_distance;
-        for (const auto& a : acts) {
+        pricer.occupancy(v.config, occ);
+        children.clear();
+        for (std::size_t k = 0; k < keep; ++k) {
+            const action& a = acts[prune_mode ? scored[k].second : k];
             vertex c = draft_child(v, idx, pe, occ, a);
             value_child(c, c.overbooked == 0 ? engine.evaluate(c.config).rate
                                              : ideal_rate);
-            if (prune_mode) child_distance.push_back(prune_distance(c.config));
             children.push_back(std::move(c));
         }
-        stats.generated += children.size();
-        obs_generated_.add(static_cast<std::int64_t>(children.size()));
-
-        if (prune_mode) {
-            stats.pruned = true;
-            // Keep the children closest to the ideal configuration.
-            std::vector<std::pair<double, std::size_t>> scored;
-            scored.reserve(children.size());
-            for (std::size_t i = 0; i < children.size(); ++i) {
-                scored.push_back({child_distance[i], i});
-            }
-            std::sort(scored.begin(), scored.end());
-            const std::size_t keep = std::max<std::size_t>(
-                1, static_cast<std::size_t>(
-                       std::ceil(options_.prune_keep_fraction *
-                                 static_cast<double>(children.size()))));
-            std::vector<vertex> kept;
-            kept.reserve(keep);
-            for (std::size_t i = 0; i < keep; ++i) {
-                kept.push_back(std::move(children[scored[i].second]));
-            }
-            children = std::move(kept);
-        }
-
         for (auto& c : children) {
             record_vertex(std::move(c));
         }
@@ -628,18 +650,19 @@ dollars adaptation_search::value_plan(const configuration& current,
     auto& engine = *evaluator_;
     engine.begin_decision(rates);
     decision_costs costs(model, costs_, rates);
-    const plan_pricer pricer{model, utility_, rates, engine.targets(), cw,
-                             cap_rate, options_.per_action_overhead};
+    const plan_pricer pricer{model, utility_, rates, engine.targets(), cw, cap_rate};
     // find()'s draft_child accounting along a fixed action sequence.
     configuration c = current;
     dollars accrued = 0.0;
     seconds duration = 0.0;
+    std::vector<std::uint8_t> occ;
     for (const action& a : plan) {
         const auto& entry = costs.lookup(a);
-        accrued = pricer.accrue(accrued, engine.evaluate(c), pricer.occupancy(c), a,
-                                entry, affected_hosts(c, a));
+        pricer.occupancy(c, occ);
+        accrued = pricer.accrue(accrued, engine.evaluate(c), occ, a, entry,
+                                affected_hosts(c, a));
         duration += entry.duration;
-        c = apply(model, c, a);
+        cluster::apply_in_place(model, c, a);
     }
     return pricer.average_rate(accrued, duration, engine.evaluate(c).rate) * cw;
 }

@@ -64,11 +64,6 @@ struct search_options {
     // Hard safety cap on expansions; the naive variant hits this on large
     // clusters (the exponential blow-up Table I reports).
     std::size_t max_expansions = 4000;
-    // Fixed $ overhead charged per planned action: the management plane's
-    // actuation cost (API calls, scheduler churn, operator risk). Without it,
-    // near-zero-cost actions (CPU-cap steps) make arbitrarily long plans
-    // value-ties, and the search wanders.
-    dollars per_action_overhead = 0.01;
     // Hard bound on a single decision's action count. Real reconfigurations
     // in this problem size need at most a dozen actions; the bound is a
     // backstop against accrual-exploiting walks.
@@ -179,9 +174,9 @@ public:
     // Eq. 3 value, in dollars over `cw`, of executing `plan` from `current`
     // under `rates`: the valuation find() gives the same action sequence.
     // Each action accrues at its cost-table transient rate, clamped at
-    // `cap_rate`, less the per-action overhead; the landing configuration
-    // then accrues at its steady rate, and the total is averaged over
-    // H = max(CW, D + M). find() clamps at the Perf-Pwr ideal rate. Every
+    // `cap_rate`, less a fixed $0.01 per-action overhead; the landing
+    // configuration then accrues at its steady rate, and the total is
+    // averaged over H = max(CW, D + M). find() clamps at the Perf-Pwr ideal rate. Every
     // action must be applicable in turn.
     [[nodiscard]] dollars value_plan(const cluster::configuration& current,
                                      const std::vector<cluster::action>& plan,

@@ -5,14 +5,18 @@
 // exactly cost_table::lookup's entries — including the throw on a missing
 // measurement. Walks vary the cluster size (2–16 hosts), the action menu
 // (with and without host power actions), failed hosts, and the app_hosts /
-// host_scope lenses.
+// host_scope lenses. Two more primitives of the search are checked the same
+// way: cluster::apply_in_place against cluster::apply, and the dedup table
+// against std::unordered_map<configuration, double>.
 #include "core/drafting.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "apps/rubis.h"
@@ -307,6 +311,128 @@ TEST(Drafting, AffectedHostsNameTheTouchedHosts) {
     EXPECT_EQ(affected_hosts(c, cluster::increase_cpu{vm}).count, 1u);
     EXPECT_EQ(affected_hosts(c, cluster::increase_cpu{vm}).hosts[0], at);
     EXPECT_TRUE(affected_hosts(c, cluster::power_off{host_id{3}}).empty());
+}
+
+// A random action of a random kind, applicable or not.
+action random_action(const cluster::cluster_model& m, rng& r) {
+    const vm_id vm{static_cast<std::int32_t>(r.uniform_index(m.vm_count()))};
+    const host_id h{static_cast<std::int32_t>(r.uniform_index(m.host_count()))};
+    switch (r.uniform_index(7)) {
+        case 0: return cluster::increase_cpu{vm};
+        case 1: return cluster::decrease_cpu{vm};
+        case 2: return cluster::add_replica{vm, h, m.tier_spec_of(vm).min_cpu_cap};
+        case 3: return cluster::remove_replica{vm};
+        case 4: return cluster::migrate{vm, h};
+        case 5: return cluster::power_on{h};
+        default: return cluster::power_off{h};
+    }
+}
+
+// apply_in_place on a reused scratch must give exactly apply's result, hash
+// included, for every enumerated action of every kind; both must reject an
+// inapplicable action, and apply_in_place must then leave its argument as it
+// was.
+TEST(Drafting, ApplyInPlaceMatchesApply) {
+    std::array<std::size_t, 7> applied{};
+    std::size_t rejected = 0;
+    std::uint64_t seed = 301;
+    for (const std::size_t hosts : {2u, 4u, 8u}) {
+        rng r(seed++);
+        const auto model = make_model(hosts, std::max<std::size_t>(1, hosts / 2),
+                                      /*web_replicas=*/2);
+        auto config = start_config(model);
+        configuration scratch;
+        for (int step = 0; step < 60; ++step) {
+            const auto acts = cluster::enumerate_actions(model, config);
+            ASSERT_FALSE(acts.empty());
+            for (const auto& a : acts) {
+                const auto label = cluster::to_string(model, a);
+                const auto expected = cluster::apply(model, config, a);
+                scratch = config;
+                cluster::apply_in_place(model, scratch, a);
+                EXPECT_TRUE(scratch == expected) << label;
+                EXPECT_EQ(scratch.hash(), expected.hash()) << label;
+                EXPECT_TRUE(scratch.verify_hash()) << label;
+                EXPECT_TRUE(expected.verify_hash()) << label;
+                ++applied[static_cast<std::size_t>(cluster::kind_of(a))];
+            }
+            for (int probe = 0; probe < 8; ++probe) {
+                const action a = random_action(model, r);
+                if (cluster::applicable(model, config, a)) continue;
+                const auto label = cluster::to_string(model, a);
+                EXPECT_THROW((void)cluster::apply(model, config, a), invariant_error)
+                    << label;
+                scratch = config;
+                EXPECT_THROW(cluster::apply_in_place(model, scratch, a), invariant_error)
+                    << label;
+                EXPECT_TRUE(scratch == config) << label;
+                ++rejected;
+            }
+            config = cluster::apply(model, config, acts[r.uniform_index(acts.size())]);
+            ASSERT_FALSE(HasFailure()) << hosts << " hosts, step " << step;
+        }
+    }
+    for (std::size_t k = 0; k < applied.size(); ++k) {
+        EXPECT_GT(applied[k], 0u)
+            << cluster::to_string(static_cast<cluster::action_kind>(k));
+    }
+    EXPECT_GT(rejected, 100u);
+}
+
+// The dedup table gives std::unordered_map<configuration, double>'s answers
+// to every find and insert of a seeded walk that keeps revisiting
+// configurations (it jumps back to a known one on 40 % of its steps), under
+// the search's record rule: a revisit replaces the best utility only when it
+// beats it by more than 1e-12. The table starts at its smallest size, so the
+// walk also grows it many times over and crowds its probe sequences.
+TEST(Drafting, DedupTableMatchesUnorderedMap) {
+    std::size_t revisits = 0;
+    for (const std::uint64_t seed : {401ull, 402ull, 403ull}) {
+        rng r(seed);
+        const auto model = make_model(3, 1, /*web_replicas=*/2);
+        std::vector<configuration> reps;  // a vertex store: one per insertion
+        auto config_of = [&](std::size_t i) -> const configuration& { return reps[i]; };
+        dedup_table table(0);
+        std::unordered_map<configuration, double> reference;
+        auto config = start_config(model);
+        for (int step = 0; step < 3000; ++step) {
+            const double u = r.uniform(-1.0, 1.0);
+            const auto it = reference.find(config);
+            const auto* found = table.find(config, config_of);
+            ASSERT_EQ(found != nullptr, it != reference.end()) << "step " << step;
+            if (found != nullptr) {
+                EXPECT_EQ(found->best, it->second);
+                EXPECT_TRUE(reps[found->rep] == config);
+                ++revisits;
+            }
+            const auto [slot, inserted] =
+                table.try_emplace(config, reps.size(), u, config_of);
+            const auto [ref, ref_inserted] = reference.emplace(config, u);
+            ASSERT_EQ(inserted, ref_inserted) << "step " << step;
+            if (inserted) {
+                reps.push_back(config);
+            } else if (u > slot->best + 1e-12) {
+                slot->best = u;
+                ref->second = u;
+            }
+            EXPECT_EQ(slot->best, ref->second);
+            ASSERT_EQ(table.size(), reference.size());
+            if (r.uniform() < 0.4) {
+                config = reps[r.uniform_index(reps.size())];  // a known one
+            } else {
+                const auto acts = cluster::enumerate_actions(model, config);
+                config =
+                    cluster::apply(model, config, acts[r.uniform_index(acts.size())]);
+            }
+        }
+        EXPECT_GT(reference.size(), 64u);  // grown past the initial 16 slots
+        for (const auto& [c, best] : reference) {
+            const auto* found = table.find(c, config_of);
+            ASSERT_NE(found, nullptr);
+            EXPECT_EQ(found->best, best);
+        }
+    }
+    EXPECT_GT(revisits, 1000u);
 }
 
 }  // namespace

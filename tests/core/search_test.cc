@@ -264,5 +264,70 @@ TEST(SearchValuation, ValuePlanMatchesTheSearchBitForBit) {
     EXPECT_GE(spliced, 1u);
 }
 
+// Pins self-aware pruning's selection. A delay threshold of 0.05 % of the
+// window (with a stop factor of 40) engages pruning within a decision's
+// first expansions, so most of these walks' graphs are built from the kept
+// fraction of each expansion. The digest folds in every decision's actions,
+// expected-utility bits, expansions, generated children and pruned flag: any
+// change to which children are kept, or in what order they are recorded,
+// moves it. Every plan is also priced again by value_plan, bit for bit.
+TEST(SearchPruning, PrunedDecisionsMatchTheirGolden) {
+    struct walk {
+        std::size_t hosts, apps;
+        std::uint64_t seed;
+    };
+    std::uint64_t digest = 1469598103934665603ull;  // FNV-1a
+    auto fold = [&](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            digest = (digest ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ull;
+        }
+    };
+    std::size_t pruned = 0, planned = 0;
+    for (const auto& w : {walk{4, 2, 11}, walk{8, 4, 12}}) {
+        const auto model = test_support::make_model(w.hosts, w.apps);
+        const utility_model utility{};
+        search_options opts;
+        opts.delay_threshold_fraction = 0.0005;
+        opts.stop_factor = 40.0;
+        const adaptation_search search(model, utility,
+                                       cost::cost_table::paper_defaults(), opts);
+        perf_pwr_optimizer ideal(model, utility, {}, search.shared_evaluator());
+        rng r(w.seed);
+        cluster::configuration current = test_support::base_config(model);
+        for (int step = 0; step < 24; ++step) {
+            std::vector<req_per_sec> rates(w.apps);
+            for (auto& x : rates) x = r.uniform(2.0, 100.0);
+            const seconds cw = r.uniform(300.0, 1800.0);
+            // A budget the search cost never reaches, so the delay threshold
+            // alone switches pruning on.
+            const dollars budget = 1e6;
+            model_clock_meter meter;
+            const auto res = search.find(current, rates, cw, budget, meter);
+            for (const auto& a : res.actions) {
+                for (const char ch : cluster::to_string(model, a)) {
+                    fold(static_cast<unsigned char>(ch));
+                }
+            }
+            fold(test_support::bits_of(res.expected_utility));
+            fold(res.stats.expansions);
+            fold(res.stats.generated);
+            fold(res.stats.pruned ? 1 : 0);
+            if (res.stats.pruned) ++pruned;
+            if (!res.actions.empty()) {
+                ++planned;
+                const double cap_rate = ideal.optimize(rates, &current).utility_rate;
+                EXPECT_EQ(test_support::bits_of(search.value_plan(
+                              current, res.actions, rates, cw, cap_rate)),
+                          test_support::bits_of(res.expected_utility))
+                    << w.hosts << " hosts, step " << step;
+            }
+            current = res.target;
+        }
+    }
+    EXPECT_GE(pruned, 24u);
+    EXPECT_GE(planned, 12u);
+    EXPECT_EQ(digest, 0x6d8419e81e76d9a3ull) << std::hex << digest;
+}
+
 }  // namespace
 }  // namespace mistral::core
